@@ -10,10 +10,9 @@ state s iff x_{label(s)} = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
 
-from .boolfun import (TruthTable, table_and, table_exact, table_or,
-                      table_threshold)
+from .boolfun import (TruthTable, _var_masks, table_and, table_exact,
+                      table_or, table_threshold)
 
 __all__ = [
     "EPSILON",
@@ -83,7 +82,8 @@ class Matrix:
                 dot = sum(self.rows[a][c] * complex(self.rows[b][c]).conjugate()
                           for c in range(n)) * s2
                 want = 1.0 if a == b else 0.0
-                if abs(dot - want) > tol:
+                # written so that a NaN dot product fails the test
+                if not abs(dot - want) <= tol:
                     return False
         return True
 
@@ -234,19 +234,11 @@ def xor_gadget(i: int, j: int, child0, child1) -> XorQuery:
     return XorQuery(i, j, child0, child1)
 
 
-_elab_cache: dict[tuple[int, int], tuple] = {}
-
-
 def elaborate_xor(node: XorQuery) -> UnitaryBlock:
     """The unitary realization: prepare (|i> - |j>)/sqrt(2), query once,
     rotate back; outcome 0 means x_i = x_j."""
-    key = (node.i, node.j)
-    parts = _elab_cache.get(key)
-    if parts is None:
-        parts = ((node.i, node.j), (_H_IN, _H_OUT))
-        _elab_cache[key] = parts
-    labels, mats = parts
-    return UnitaryBlock(labels, mats, (node.child0, node.child1))
+    return UnitaryBlock((node.i, node.j), (_H_IN, _H_OUT),
+                        (node.child0, node.child1))
 
 
 def parity_program(n: int, invert: bool = False):
@@ -307,14 +299,26 @@ class SimulationReport:
 def _validate_blocks(node, path: str):
     if isinstance(node, AxiomLeaf):
         raise ValueError("not simulatable: axiom leaf at %s" % path)
-    if isinstance(node, ClassicalQuery):
+    if isinstance(node, Output):
+        if node.bit not in (0, 1):
+            raise ValueError("output at %s must be 0 or 1" % path)
+    elif isinstance(node, ClassicalQuery):
+        if node.var < 1:
+            raise ValueError("classical query at %s reads x%d; variables "
+                             "start at x1" % (path, node.var))
         _validate_blocks(node.child0, path + ".child0")
         _validate_blocks(node.child1, path + ".child1")
     elif isinstance(node, XorQuery):
+        if node.i == node.j or node.i < 1 or node.j < 1:
+            raise ValueError("xor gadget at %s needs two distinct "
+                             "variables" % path)
         _validate_blocks(node.child0, path + ".child0")
         _validate_blocks(node.child1, path + ".child1")
     elif isinstance(node, UnitaryBlock):
         dim = len(node.labels)
+        if any(v is not None and v < 1 for v in node.labels):
+            raise ValueError("unitary block at %s labels a variable below "
+                             "x1" % path)
         if len(node.children) != dim:
             raise ValueError("dimension mismatch at %s: %d children for "
                              "dimension %d" % (path, len(node.children), dim))
@@ -329,34 +333,66 @@ def _validate_blocks(node, path: str):
             _validate_blocks(ch, "%s.m%d" % (path, s))
 
 
-def _run(node, m: int):
-    """All measurement branches for input m: (amplitude magnitude, output
-    bit, queries used along the branch)."""
+def _patterns(labels, inputs: int, masks):
+    """Split the input set by the values of the labelled variables:
+    (subset, m) pairs, m an input code with the subset's values there."""
+    parts = [(inputs, 0)]
+    for v in sorted({v for v in labels if v is not None}):
+        mask, bit = masks[v - 1], 1 << (v - 1)
+        split = []
+        for sub, m in parts:
+            hi = sub & mask
+            if hi:
+                split.append((hi, m | bit))
+            if sub ^ hi:
+                split.append((sub ^ hi, m))
+        parts = split
+    return parts
+
+
+def _branches(node, inputs: int, masks):
+    """All measurement branches for the input set `inputs` (bit m set for
+    input code m): (inputs reaching the branch, amplitude magnitude,
+    output bit, queries used along the branch), in walk order. For any
+    one input, its branches keep the order and amplitudes of a walk of
+    that input alone."""
     if isinstance(node, Output):
-        return ((1.0, node.bit, 0),)
+        return [(inputs, 1.0, node.bit, 0)]
     if isinstance(node, ClassicalQuery):
-        child = node.child1 if (m >> (node.var - 1)) & 1 else node.child0
-        return tuple((a, o, q + 1) for a, o, q in _run(child, m))
+        hi = inputs & masks[node.var - 1]
+        out = []
+        for sub, child in ((inputs ^ hi, node.child0), (hi, node.child1)):
+            if sub:
+                out.extend((b, a, o, q + 1)
+                           for b, a, o, q in _branches(child, sub, masks))
+        return out
     if isinstance(node, XorQuery):
         node = elaborate_xor(node)
-    # unitary block
-    state = tuple(1.0 + 0.0j if s == 0 else 0.0j
+    # unitary block: the state depends only on the labelled variables, so
+    # compute it once per pattern and send each outcome's inputs on,
+    # grouped by the magnitude they reach it with
+    start = tuple(1.0 + 0.0j if s == 0 else 0.0j
                   for s in range(len(node.labels)))
-    state = node.matrices[0].apply(state)
-    for mat in node.matrices[1:]:
-        state = apply_oracle(state, node.labels, m)
-        state = mat.apply(state)
+    start = node.matrices[0].apply(start)
+    groups = [{} for _ in node.labels]  # outcome -> {magnitude: inputs}
+    for sub, m in _patterns(node.labels, inputs, masks):
+        state = start
+        for mat in node.matrices[1:]:
+            state = mat.apply(apply_oracle(state, node.labels, m))
+        for s, amp in enumerate(state):
+            mag = abs(amp)
+            # a zero magnitude is a branch taken with probability exactly
+            # zero; skipping it cannot change the report
+            if mag != 0.0:
+                groups[s][mag] = groups[s].get(mag, 0) | sub
     t = len(node.matrices) - 1
     out = []
-    for s, amp in enumerate(state):
-        mag = abs(amp)
-        if mag == 0.0:
-            # branch taken with probability exactly zero; skipping it
-            # cannot change the worst wrong amplitude or query count
-            continue
-        for a, o, q in _run(node.children[s], m):
-            out.append((mag * a, o, q + t))
-    return tuple(out)
+    for s, by_mag in enumerate(groups):
+        for mag, sub in by_mag.items():
+            out.extend((b, mag * a, o, q + t)
+                       for b, a, o, q in _branches(node.children[s], sub,
+                                                   masks))
+    return out
 
 
 def simulate(program, f: TruthTable) -> SimulationReport:
@@ -366,22 +402,26 @@ def simulate(program, f: TruthTable) -> SimulationReport:
     if mv > f.arity:
         raise ValueError("unbound variable x%d for arity %d" % (mv, f.arity))
     _validate_blocks(program, "program")
+    everything = (1 << f.size) - 1
+    branches = _branches(program, everything, _var_masks(f.arity))
     worst_wrong = 0.0
     worst_queries = 0
-    outcomes = {}
-    for m in range(f.size):
-        want = f.value(m)
-        best_amp = -1.0
-        best_out = 0
-        for amp, o, q in _run(program, m):
-            if o != want and amp > worst_wrong:
-                worst_wrong = amp
-            if amp > EPSILON and q > worst_queries:
-                worst_queries = q
-            if amp > best_amp:
-                best_amp = amp
-                best_out = o
-        outcomes[m] = best_out
+    for inputs, amp, o, q in branches:
+        wrong = inputs & (everything ^ f.bits if o else f.bits)
+        if wrong and amp > worst_wrong:
+            worst_wrong = amp
+        if amp > EPSILON and q > worst_queries:
+            worst_queries = q
+    # each input's outcome is its first branch of largest amplitude in walk
+    # order: a stable sort keeps walk order among equal amplitudes
+    decided = ones = 0
+    for inputs, amp, o, q in sorted(branches, key=lambda br: -br[1]):
+        new = inputs & ~decided
+        decided |= new
+        if o:
+            ones |= new
+    bits = format(ones, "0%db" % f.size)[::-1]
+    outcomes = {m: int(c) for m, c in enumerate(bits)}
     return SimulationReport(worst_wrong <= EPSILON, worst_wrong,
                             worst_queries, outcomes)
 
@@ -514,15 +554,23 @@ def program_from_json(obj) -> object:
             raise ValueError("output bit must be 0 or 1")
         return Output(bit)
     if kind == "cq":
-        return ClassicalQuery(int(obj["var"]),
+        var = int(obj["var"])
+        if var < 1:
+            raise ValueError("cq var must be at least 1")
+        return ClassicalQuery(var,
                               program_from_json(obj["child0"]),
                               program_from_json(obj["child1"]))
     if kind == "xq":
-        return XorQuery(int(obj["i"]), int(obj["j"]),
+        i, j = int(obj["i"]), int(obj["j"])
+        if i == j or i < 1 or j < 1:
+            raise ValueError("xq needs two distinct variables")
+        return XorQuery(i, j,
                         program_from_json(obj["child0"]),
                         program_from_json(obj["child1"]))
     if kind == "ub":
         labels = tuple(None if v is None else int(v) for v in obj["labels"])
+        if any(v is not None and v < 1 for v in labels):
+            raise ValueError("ub labels must be null or at least 1")
         mats = tuple(_matrix_from_json(m) for m in obj["matrices"])
         children = tuple(program_from_json(ch) for ch in obj["children"])
         return UnitaryBlock(labels, mats, children)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from querysynth.boolfun import TruthTable, table_nae, table_parity
+from querysynth.boolfun import TruthTable, table_and, table_nae, table_parity
 from querysynth.qprogram import (
     CITE_AND_OR,
     EPSILON,
@@ -15,6 +15,7 @@ from querysynth.qprogram import (
     Output,
     UnitaryBlock,
     XorQuery,
+    apply_oracle,
     axiom_citation,
     axiom_queries,
     axiom_rep_table,
@@ -31,6 +32,8 @@ from querysynth.qprogram import (
     simulate,
     xor_gadget,
 )
+from querysynth.synth import (Certificate, certificate_from_json,
+                              synthesize, verify_certificate)
 
 H = Matrix(((1, 1), (1, -1)), 1)
 
@@ -46,6 +49,9 @@ def test_matrix_unitarity():
     assert not Matrix(((1, 1), (1, 1)), 1).is_unitary()
     assert not Matrix(((1, 0), (0, 2))).is_unitary()
     assert not Matrix(((1, 0, 0), (0, 1, 0))).is_unitary()
+    # a NaN entry, or an overflow times an underflow, makes a NaN dot product
+    assert not Matrix(((float("nan"), 0), (0, 1))).is_unitary()
+    assert not Matrix(((1e200, 0), (0, 1e200)), 2000).is_unitary()
 
 
 def test_matrix_apply_scales():
@@ -104,7 +110,6 @@ def test_max_var():
 
 
 def test_apply_oracle_flips_labelled_phases():
-    from querysynth.qprogram import apply_oracle
     # x1 = 1, x2 = 0: only the basis state labelled with variable 1 flips
     assert apply_oracle((1.0, 2.0, 3.0), (1, None, 2), 0b01) == \
         (-1.0, 2.0, 3.0)
@@ -223,12 +228,238 @@ def test_simulate_rejects_bad_blocks():
         simulate(short, table_parity(2))
 
 
+def test_verify_rejects_nan_matrix():
+    # JSON admits NaN; such a block must not pass as an exact 0-query program
+    nan_block = {"kind": "ub", "labels": [None, None],
+                 "matrices": [{"normExp": 0,
+                               "rows": [[["NaN", 0], [0, 0]],
+                                        [[0, 0], ["NaN", 0]]]}],
+                 "children": [{"kind": "output", "bit": 0},
+                              {"kind": "output", "bit": 1}]}
+    text = json.dumps({"schema": 1, "kind": "certificate",
+                       "function": {"arity": 3, "table": "hex:96"},
+                       "claimedQueries": 0, "level": "FullySimulated",
+                       "rulesUsed": [], "program": nan_block})
+    text = text.replace('"NaN"', "NaN")
+    report = verify_certificate(certificate_from_json(json.loads(text)))
+    assert not report.ok
+    assert any("non-unitary" in msg for msg in report.failures)
+
+
 def test_simulation_report_json_keys():
     rep = simulate(parity_program(2), table_parity(2))
     obj = rep.to_json()
     assert set(obj) == {"exact", "worstWrongAmplitude", "queriesWorstCase",
                         "outcomes"}
     assert obj["outcomes"] == {"0": 0, "1": 1, "2": 1, "3": 0}
+
+
+# ---------------------------------------------------------------------------
+# differential test against a per-input reference walker
+
+
+def _reference_run(node, m):
+    """Every measurement branch for input m alone: (amplitude magnitude,
+    output bit, queries), in walk order, amplitudes multiplied bottom-up."""
+    if isinstance(node, Output):
+        return ((1.0, node.bit, 0),)
+    if isinstance(node, ClassicalQuery):
+        child = node.child1 if (m >> (node.var - 1)) & 1 else node.child0
+        return tuple((a, o, q + 1) for a, o, q in _reference_run(child, m))
+    if isinstance(node, XorQuery):
+        node = elaborate_xor(node)
+    state = tuple(1.0 + 0.0j if s == 0 else 0.0j
+                  for s in range(len(node.labels)))
+    state = node.matrices[0].apply(state)
+    for mat in node.matrices[1:]:
+        state = mat.apply(apply_oracle(state, node.labels, m))
+    t = len(node.matrices) - 1
+    out = []
+    for s, amp in enumerate(state):
+        mag = abs(amp)
+        if mag == 0.0:
+            continue
+        for a, o, q in _reference_run(node.children[s], m):
+            out.append((mag * a, o, q + t))
+    return tuple(out)
+
+
+def _reference_simulate(program, f):
+    """Input by input: the first branch of largest amplitude gives the
+    outcome; wrong branches and branches above EPSILON set the worst
+    cases."""
+    worst_wrong = 0.0
+    worst_queries = 0
+    outcomes = {}
+    for m in range(f.size):
+        want = f.value(m)
+        best_amp, best_out = -1.0, 0
+        for amp, o, q in _reference_run(program, m):
+            if o != want and amp > worst_wrong:
+                worst_wrong = amp
+            if amp > EPSILON and q > worst_queries:
+                worst_queries = q
+            if amp > best_amp:
+                best_amp, best_out = amp, o
+        outcomes[m] = best_out
+    return worst_wrong <= EPSILON, worst_wrong, worst_queries, outcomes
+
+
+def _assert_matches_reference(program, f):
+    rep = simulate(program, f)
+    exact, worst_wrong, queries, outcomes = _reference_simulate(program, f)
+    assert rep.exact == exact
+    assert rep.worst_wrong_amplitude == worst_wrong  # bit-identical floats
+    assert rep.queries_worst_case == queries
+    assert rep.outcomes == outcomes
+    return rep
+
+
+def _and_chain(n):
+    node = Output(1)
+    for i in range(n, 0, -1):
+        node = ClassicalQuery(i, Output(0), node)
+    return node
+
+
+def _flip_one_bit(f, rng):
+    return TruthTable(f.arity, f.bits ^ (1 << rng.randrange(f.size)))
+
+
+def test_simulate_matches_reference_on_builders():
+    rng = random.Random(11)
+    for n in range(1, 11):
+        cases = [(parity_program(n), table_parity(n)),
+                 (parity_program(n, invert=True),
+                  table_parity(n).complement()),
+                 (_and_chain(n), table_and(n))]
+        if n >= 2:
+            cases.append((nae_program(n), table_nae(n)))
+        for prog, f in cases:
+            assert _assert_matches_reference(prog, f).exact
+            assert not _assert_matches_reference(
+                prog, _flip_one_bit(f, rng)).exact
+
+
+def test_simulate_matches_reference_on_synthesized_certificates():
+    rng = random.Random(2024)
+    tables = [TruthTable(3, bits) for bits in range(256)]
+    tables += [TruthTable(4, rng.getrandbits(16)) for _ in range(200)]
+    checked = 0
+    for f in tables:
+        cert = synthesize(f)
+        if cert.level == "CountCertified":
+            continue
+        checked += 1
+        assert _assert_matches_reference(cert.program, f).exact
+        assert not _assert_matches_reference(
+            cert.program, _flip_one_bit(f, rng)).exact
+    assert checked > 100
+
+
+_PHASE = Matrix(((1, 0), (0, 1j)))
+_SKEW = Matrix(((1, 1j), (1j, 1)), 1)
+_H2 = Matrix(((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1)), 2)
+_PHASE4 = Matrix(((1, 0, 0, 0), (0, 1j, 0, 0), (0, 0, -1, 0),
+                  (0, 0, 0, -1j)))
+
+
+def _hand_built_blocks():
+    """Blocks with untouched basis states, repeated labels, complex
+    phases and no oracle call, nested under each other and under
+    classical queries; most are not exact."""
+    leaf01 = (Output(0), Output(1))
+    leaf10 = (Output(1), Output(0))
+    no_query = UnitaryBlock((None, None), (H,), leaf01)
+    phases = UnitaryBlock((1, None), (_SKEW, _PHASE, H), leaf10)
+    repeated = UnitaryBlock((2, 2, None, 1), (_H2, _PHASE4, _H2),
+                            (Output(0), Output(1), Output(1), Output(0)))
+    two_calls = UnitaryBlock((1, 3, 3, None), (_H2, _H2, _PHASE4, _H2),
+                             (phases, Output(1), no_query, repeated))
+    nested = UnitaryBlock((3, None), (_SKEW, H),
+                          (ClassicalQuery(2, phases, no_query), two_calls))
+    # outcome 0 has magnitude 1 for x1 = x2 = 0 and 1/2 otherwise
+    uneven = UnitaryBlock((1, 2, None, None), (_H2, _H2),
+                          (nested, Output(1), phases, Output(0)))
+    return [no_query, phases, repeated, two_calls, nested, uneven,
+            ClassicalQuery(1, repeated, XorQuery(2, 3, nested, phases)),
+            XorQuery(1, 3, no_query, Output(1))]
+
+
+def test_simulate_matches_reference_on_hand_built_blocks():
+    rng = random.Random(5)
+    for prog in _hand_built_blocks():
+        n = max(max_var(prog), 1)
+        tables = [TruthTable(n, rng.getrandbits(1 << n)) for _ in range(6)]
+        tables += [TruthTable(n, 0), TruthTable(n, (1 << (1 << n)) - 1)]
+        for f in tables:
+            _assert_matches_reference(prog, f)
+        # the wider arity leaves the extra variables unread
+        _assert_matches_reference(prog, TruthTable(4, rng.getrandbits(16)))
+
+
+def test_simulate_tie_goes_to_first_branch_in_walk_order():
+    # a Hadamard without a query: both outcomes carry amplitude 1/sqrt(2)
+    first_one = UnitaryBlock((None, None), (H,), (Output(1), Output(0)))
+    first_zero = UnitaryBlock((None, None), (H,), (Output(0), Output(1)))
+    assert simulate(first_one, TruthTable(1, 0b11)).outcomes == {0: 1, 1: 1}
+    assert simulate(first_zero, TruthTable(1, 0b11)).outcomes == {0: 0, 1: 0}
+    # the input sets split first; each input still takes its own first branch
+    prog = ClassicalQuery(1, first_one, first_zero)
+    rep = _assert_matches_reference(prog, TruthTable(1, 0b01))
+    assert rep.outcomes == {0: 1, 1: 0}
+
+
+# ---------------------------------------------------------------------------
+# variables out of range
+
+
+def test_verify_rejects_variable_zero():
+    # x0 does not exist; it must not be read as some other variable
+    f = TruthTable(2, 0b1100)  # x2
+    prog = ClassicalQuery(0, Output(0), Output(1))
+    report = verify_certificate(Certificate(f, prog, 1, "ClassicalOnly", (),
+                                            False))
+    assert not report.ok
+    assert any("variables start at x1" in msg for msg in report.failures)
+    doc = {"schema": 1, "kind": "certificate",
+           "function": {"arity": 2, "table": "hex:c"},
+           "claimedQueries": 1, "level": "ClassicalOnly", "rulesUsed": [],
+           "program": program_to_json(prog)}
+    with pytest.raises(ValueError, match="cq var"):
+        certificate_from_json(doc)
+
+
+@pytest.mark.parametrize("node", [
+    {"kind": "cq", "var": 0, "child0": {"kind": "output", "bit": 0},
+     "child1": {"kind": "output", "bit": 1}},
+    {"kind": "cq", "var": -2, "child0": {"kind": "output", "bit": 0},
+     "child1": {"kind": "output", "bit": 1}},
+    {"kind": "xq", "i": 0, "j": 1, "child0": {"kind": "output", "bit": 0},
+     "child1": {"kind": "output", "bit": 1}},
+    {"kind": "xq", "i": 2, "j": 0, "child0": {"kind": "output", "bit": 0},
+     "child1": {"kind": "output", "bit": 1}},
+    {"kind": "xq", "i": 2, "j": 2, "child0": {"kind": "output", "bit": 0},
+     "child1": {"kind": "output", "bit": 1}},
+    {"kind": "ub", "labels": [1, 0],
+     "matrices": [{"normExp": 1, "rows": [[[1, 0], [1, 0]], [[1, 0], [-1, 0]]]}],
+     "children": [{"kind": "output", "bit": 0}, {"kind": "output", "bit": 1}]},
+])
+def test_program_json_rejects_out_of_range_variables(node):
+    with pytest.raises(ValueError, match="cq var|xq needs|ub labels"):
+        program_from_json(node)
+
+
+def test_simulate_rejects_out_of_range_variables():
+    f = TruthTable(2, 0b0110)
+    bad = [ClassicalQuery(0, Output(0), Output(1)),
+           XorQuery(1, 1, Output(0), Output(1)),
+           XorQuery(0, 2, Output(0), Output(1)),
+           UnitaryBlock((None, -1), (H,), (Output(0), Output(1))),
+           ClassicalQuery(1, Output(0), Output(2))]
+    for prog in bad:
+        with pytest.raises(ValueError):
+            simulate(prog, f)
 
 
 # ---------------------------------------------------------------------------
