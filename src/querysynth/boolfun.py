@@ -61,6 +61,31 @@ def _var_masks(n: int) -> list[int]:
     return masks
 
 
+_swap_masks_cache: dict[int, list[tuple[int, int, int, int]]] = {}
+
+
+def _swap_masks(n: int) -> list[tuple[int, int, int, int]]:
+    """For q = 2..n: (mask, shift) pairs testing x_1 <-> x_q and
+    x_1 <-> not x_q.
+
+    Swapping x_1 with x_q moves the codes with x_1 = 1, x_q = 0 up by
+    2**(q-1) - 1; swapping x_1 with not x_q moves the codes with
+    x_1 = x_q = 0 up by 2**(q-1) + 1. Every other code is fixed.
+    """
+    got = _swap_masks_cache.get(n)
+    if got is not None:
+        return got
+    masks = _var_masks(n)
+    full = (1 << (1 << n)) - 1
+    got = []
+    for p in range(1, n):
+        blk = 1 << p
+        got.append((masks[0] & ~masks[p], blk - 1,
+                    full ^ (masks[0] | masks[p]), blk + 1))
+    _swap_masks_cache[n] = got
+    return got
+
+
 def _popcnt(n: int) -> np.ndarray:
     got = _popcnt_cache.get(n)
     if got is None:
@@ -252,30 +277,6 @@ class MonotoneNormalForm:
     dnf_terms: tuple[frozenset[int], ...]
     cnf_clauses: tuple[frozenset[int], ...]
 
-    def eval_dnf(self, m: int) -> int:
-        for term in self.dnf_terms:
-            if all((m >> (i - 1)) & 1 for i in term):
-                return 1
-        return 0
-
-    def eval_cnf(self, m: int) -> int:
-        for clause in self.cnf_clauses:
-            if not any((m >> (i - 1)) & 1 for i in clause):
-                return 0
-        return 1
-
-    def dnf_table(self) -> "TruthTable":
-        bits = 0
-        for m in range(1 << self.arity):
-            bits |= self.eval_dnf(m) << m
-        return TruthTable(self.arity, bits)
-
-    def cnf_table(self) -> "TruthTable":
-        bits = 0
-        for m in range(1 << self.arity):
-            bits |= self.eval_cnf(m) << m
-        return TruthTable(self.arity, bits)
-
 
 # ---------------------------------------------------------------------------
 
@@ -430,6 +431,31 @@ class TruthTable:
             else:
                 return None
         return tuple(profile)
+
+    def symmetric_orbit(self):
+        """(profile, flips) if negating the inputs in `flips` makes f
+        symmetric with that profile, else None.
+
+        Bit i-1 of flips stands for x_i, and x_1 is never negated. The
+        transpositions (x_1 x_q) generate every permutation, so f is
+        symmetric up to input negations iff, for each q, it is invariant
+        under swapping x_1 with x_q or with not x_q; the latter marks x_q
+        for negation. That is O(n) table operations. If both swaps hold
+        for some q, f depends only on the parity of the input weight, and
+        either choice leaves a symmetric table.
+        """
+        bits = self.bits
+        flips = 0
+        for p, (plain, ps, crossed, cs) in enumerate(_swap_masks(self.arity), 1):
+            if (bits >> ps) & plain != bits & plain:
+                if (bits >> cs) & crossed != bits & crossed:
+                    return None
+                flips |= 1 << p
+        g = self
+        for p in range(1, self.arity):
+            if (flips >> p) & 1:
+                g = g.negate_var(p + 1)
+        return g.symmetric_profile(), flips
 
     def is_monotone(self) -> bool:
         masks = _var_masks(self.arity)

@@ -22,6 +22,7 @@ from .formula import READ_ONCE_MAX_ARITY, recognize_read_once, to_text
 from .qprogram import collect_axioms, program_from_json, query_cost, simulate
 from .suites import SUITES, run_suite
 from .synth import (
+    ENGINE_MAX_ARITY,
     certificate_from_json,
     certificate_to_json,
     synthesize,
@@ -109,6 +110,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_synth(args) -> int:
     f = _parse_fn(args.fn)
+    if f.arity > ENGINE_MAX_ARITY:
+        return _fail_usage("synthesis supports arity <= %d, got %d"
+                           % (ENGINE_MAX_ARITY, f.arity))
     cert = synthesize(f)
     rep = verify_certificate(cert)
     if not rep.ok:
@@ -150,7 +154,12 @@ def cmd_simulate(args) -> int:
         return _fail_usage("cannot read %s: %s" % (args.path, e))
     f = None
     if isinstance(obj, dict) and obj.get("kind") == "certificate":
-        cert = certificate_from_json(obj)
+        try:
+            cert = certificate_from_json(obj)
+        except KeyError as e:
+            return _fail_usage("certificate lacks the %s field" % e)
+        except (ValueError, TypeError) as e:
+            return _fail_usage("not a valid certificate file: %s" % e)
         program = cert.program
         f = cert.function
     else:

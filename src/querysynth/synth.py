@@ -17,11 +17,13 @@ when literature leaves are present, by path-constraint auditing.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfun import (TruthTable, _perm_codes, _unpack_values, table_parity)
+from .boolfun import (NpnTransform, TruthTable, _perm_codes, _unpack_values,
+                      table_parity)
 from .formula import _components
 from .qprogram import (AxiomLeaf, ClassicalQuery, Output, UnitaryBlock,
                        XorQuery, axiom_citation, axiom_queries,
@@ -104,11 +106,13 @@ def _axiom_orbit_map(n: int) -> dict:
 
 
 def _symmetric_axiom(f: TruthTable):
-    """(class_id, k, queries) when the profile of f matches a counting
-    class directly or after complementing the output; works at any arity."""
-    profile = f.symmetric_profile()
-    if profile is None:
+    """(class_id, k, queries) when f, after the input negations that make
+    it symmetric, matches a counting class directly or after
+    complementing the output; works at any arity."""
+    orbit = f.symmetric_orbit()
+    if orbit is None:
         return None
+    profile = orbit[0]
     n = f.arity
     for neg in (0, 1):
         p = tuple(b ^ neg for b in profile)
@@ -771,24 +775,51 @@ def _audit(node, state: _PathState, path: str, failures: list):
                 failures.append("residual at %s falls outside the certified "
                                 "two-query family" % path)
             return
-        if g.npn_canonical()[0] != _rep_canonical(node.class_id,
-                                                 len(leaf_vars), node.k):
+        if not _in_class_orbit(g, node.class_id, len(leaf_vars), node.k):
             failures.append("residual at %s is not isomorphic to the %s "
                             "class representative" % (path, node.class_id))
         return
     failures.append("unknown node type at %s" % path)
 
 
-_rep_canon_cache: dict = {}
+_class_images_cache: dict = {}
 
 
-def _rep_canonical(class_id: str, n: int, k):
+def _class_images(class_id: str, n: int, k):
+    """(by_profile, images) for one catalogued class.
+
+    For a symmetric representative, images holds its profile, the
+    reversal and the complement of either: the flip-normalised profiles
+    of its NPN orbit. Otherwise it holds the table bits of every NPN
+    image, built from all 2 * 2**n * n! transforms; and_or_3 is the only
+    such class, at n = 3.
+    """
     key = (class_id, n, k)
-    got = _rep_canon_cache.get(key)
+    got = _class_images_cache.get(key)
     if got is None:
-        got = axiom_rep_table(class_id, n, k).npn_canonical()[0]
-        _rep_canon_cache[key] = got
+        rep = axiom_rep_table(class_id, n, k)
+        profile = rep.symmetric_profile()
+        if profile is None:
+            images = frozenset(
+                NpnTransform(perm, flips, neg).apply(rep).bits
+                for perm in itertools.permutations(range(n))
+                for flips in range(1 << n) for neg in (0, 1))
+        else:
+            images = frozenset(tuple(b ^ neg for b in p)
+                               for p in (profile, profile[::-1])
+                               for neg in (0, 1))
+        got = (profile is not None, images)
+        _class_images_cache[key] = got
     return got
+
+
+def _in_class_orbit(g: TruthTable, class_id: str, n: int, k) -> bool:
+    """True iff g is an NPN image of the class representative."""
+    by_profile, images = _class_images(class_id, n, k)
+    if not by_profile:
+        return g.bits in images
+    orbit = g.symmetric_orbit()
+    return orbit is not None and orbit[0] in images
 
 
 def verify_certificate(cert: Certificate) -> VerificationReport:

@@ -223,6 +223,60 @@ def test_symmetric_profile_round_trip():
             assert t.symmetric_profile() == prof
 
 
+def _negate_inputs(t, flips):
+    for i in range(1, t.arity + 1):
+        if (flips >> (i - 1)) & 1:
+            t = t.negate_var(i)
+    return t
+
+
+def _check_orbit_answer(t, got):
+    """The flips must leave x1 alone and turn t into a symmetric table
+    with the returned profile."""
+    profile, flips = got
+    assert flips & 1 == 0 and flips >> t.arity == 0
+    assert _negate_inputs(t, flips) == TruthTable.from_profile(profile)
+
+
+def test_symmetric_orbit_exhaustive_small():
+    # oracle: a table is symmetric up to input negations iff it is some
+    # symmetric table with some inputs negated
+    for n in (0, 1, 2, 3, 4):
+        images = {_negate_inputs(TruthTable.from_profile(prof), flips).bits
+                  for prof in itertools.product((0, 1), repeat=n + 1)
+                  for flips in range(1 << n)}
+        for bits in range(1 << (1 << n)):
+            t = TruthTable(n, bits)
+            got = t.symmetric_orbit()
+            assert (got is not None) == (bits in images), (n, bits)
+            if got is not None:
+                _check_orbit_answer(t, got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=5, max_value=12), st.randoms())
+def test_symmetric_orbit_of_npn_images(n, rnd):
+    prof = tuple(rnd.getrandbits(1) for _ in range(n + 1))
+    img = _random_transform(rnd, n).apply(TruthTable.from_profile(prof))
+    got = img.symmetric_orbit()
+    assert got is not None
+    _check_orbit_answer(img, got)
+    # permutations are invisible and negating every input reverses the
+    # profile, so only these four can come back
+    assert got[0] in {tuple(b ^ neg for b in p)
+                      for p in (prof, prof[::-1]) for neg in (0, 1)}
+
+
+def test_symmetric_orbit_rejects_asymmetric_tables():
+    assert TruthTable(3, 0b10101000).symmetric_orbit() is None  # x1&(x2|x3)
+    # no input negation repairs one changed point of weight 1
+    rng = random.Random(17)
+    for n in range(3, 13):
+        t = table_exact(n, rng.randint(0, n))
+        flipped = TruthTable(n, t.bits ^ (1 << (1 << rng.randrange(n))))
+        assert flipped.symmetric_orbit() is None, n
+
+
 def test_is_monotone_against_oracle():
     for bits in range(256):
         t = TruthTable(3, bits)

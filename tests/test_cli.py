@@ -15,7 +15,8 @@ import querysynth
 from querysynth import cli
 from querysynth.boolfun import table_exact, table_parity
 from querysynth.qprogram import Output, parity_program, program_to_json
-from querysynth.synth import VerificationReport, certificate_from_json
+from querysynth.synth import (VerificationReport, certificate_from_json,
+                              certificate_to_json, synthesize)
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +123,21 @@ def test_synth_refuses_unverified(monkeypatch, capsys):
     assert "deliberate failure" in err
 
 
+def test_synth_above_arity_12_is_a_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "synth", "--fn", "profile:" + ",".join(
+        "1" if w == 3 else "0" for w in range(14)))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "arity <= 12" in err
+
+
+def test_synth_exact73_is_certified(capsys):
+    # the leaf is wider than NPN canonical forms reach
+    rc, out, err = run_cli(capsys, "synth", "--fn", "profile:0,0,0,1,0,0,0,0")
+    assert rc == 0 and err == ""
+    assert "4 queries, CountCertified, optimal" in out
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -152,6 +168,19 @@ def test_simulate_bare_program_needs_fn(tmp_path, capsys):
     assert obj["kind"] == "simulation"
     assert obj["report"]["exact"] is True
     assert obj["report"]["queriesWorstCase"] == 1
+
+
+def test_simulate_certificate_without_function(tmp_path, capsys):
+    obj = certificate_to_json(synthesize(table_parity(3)))
+    del obj["function"]
+    rc, out, err = run_cli(capsys, "simulate", _write(tmp_path, "c.json", obj))
+    assert rc == 2 and out == ""
+    assert err == "error: certificate lacks the 'function' field\n"
+    obj["function"] = "bin:01101001"
+    rc, out, err = run_cli(capsys, "simulate", _write(tmp_path, "c.json", obj))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: not a valid certificate file:")
+    assert err.count("\n") == 1
 
 
 def test_simulate_reports_failing_inputs(tmp_path, capsys):

@@ -7,12 +7,16 @@ the single-literal and xor-of-two-literals forms need one.
 """
 
 import collections
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querysynth.boolfun import (
+    NpnTransform,
     TruthTable,
     table_and,
     table_exact,
@@ -21,8 +25,10 @@ from querysynth.boolfun import (
     table_parity,
     table_threshold,
 )
-from querysynth.qprogram import AxiomLeaf, axiom_citation, collect_axioms
+from querysynth.qprogram import (AxiomLeaf, axiom_citation, axiom_queries,
+                                 axiom_rep_table, collect_axioms)
 from querysynth.synth import (
+    _in_class_orbit,
     Certificate,
     certificate_from_json,
     certificate_to_json,
@@ -155,6 +161,22 @@ def test_arity_guard():
         query_complexity(TruthTable(13, 0))
 
 
+def _random_npn(rnd, n):
+    return NpnTransform(tuple(rnd.sample(range(n), n)), rnd.getrandbits(n),
+                        rnd.getrandbits(1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=6, max_value=8), st.booleans(), st.randoms())
+def test_counting_class_cost_is_npn_invariant(n, exact, rnd):
+    class_id = "exact" if exact else "threshold"
+    k = rnd.randint(0 if exact else 1, n)
+    f = _random_npn(rnd, n).apply(axiom_rep_table(class_id, n, k))
+    assert query_complexity(f) == axiom_queries(class_id, n, k)
+    rep = verify_certificate(synthesize(f))
+    assert rep.ok, rep.failures
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -280,6 +302,62 @@ def test_tampered_axiom_count_is_rejected():
     rep = verify_certificate(bad)
     assert not rep.ok
     assert any("formula" in x for x in rep.failures)
+
+
+def test_certificate_exact73_verifies():
+    # axiom leaves above arity 6 are checked without an NPN search
+    c = synthesize(table_exact(7, 3))
+    assert c.claimed_queries == 4 and c.level == "CountCertified"
+    rep = verify_certificate(c)
+    assert rep.ok, rep.failures
+
+
+def _catalogued_classes(n):
+    classes = [("and", None), ("or", None)]
+    classes += [("exact", k) for k in range(n + 1)]
+    classes += [("threshold", k) for k in range(1, n + 1)]
+    if n == 3:
+        classes.append(("and_or_3", None))
+    return classes
+
+
+def test_leaf_membership_matches_orbits_exhaustive_small():
+    # each orbit is enumerated here from every NPN transform
+    for n in (1, 2, 3, 4):
+        transforms = [NpnTransform(perm, flips, neg)
+                      for perm in itertools.permutations(range(n))
+                      for flips in range(1 << n) for neg in (0, 1)]
+        orbits = {}
+        for class_id, k in _catalogued_classes(n):
+            rep = axiom_rep_table(class_id, n, k)
+            orbits[class_id, k] = {t.apply(rep).bits for t in transforms}
+        for bits in range(1 << (1 << n)):
+            g = TruthTable(n, bits)
+            accepted = {c for c in orbits if _in_class_orbit(g, c[0], n, c[1])}
+            assert accepted == {c for c, orb in orbits.items() if bits in orb}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=5, max_value=12), st.randoms())
+def test_leaf_membership_of_npn_images(n, rnd):
+    class_id, k = rnd.choice(_catalogued_classes(n))
+    img = _random_npn(rnd, n).apply(axiom_rep_table(class_id, n, k))
+    assert _in_class_orbit(img, class_id, n, k)
+    flipped = TruthTable(n, img.bits ^ (1 << rnd.randrange(1 << n)))
+    assert not _in_class_orbit(flipped, class_id, n, k)
+
+
+def test_tampered_leaf_residual_is_rejected():
+    leaf = AxiomLeaf("exact", tuple(range(1, 8)), 4, axiom_citation("exact"),
+                     3)
+    f = table_exact(7, 3).negate_var(2)
+    good = Certificate(f, leaf, 4, "CountCertified", (), False)
+    assert verify_certificate(good).ok
+    bad = Certificate(TruthTable(7, f.bits ^ 1), leaf, 4, "CountCertified",
+                      (), False)
+    rep = verify_certificate(bad)
+    assert not rep.ok
+    assert any("not isomorphic" in x for x in rep.failures)
 
 
 def test_tampered_simulated_program_is_rejected():
