@@ -698,6 +698,10 @@ def parse_function(text: str) -> TruthTable:
         parts = [p.strip() for p in body.split(",")]
         if not all(p in ("0", "1") for p in parts):
             raise ValueError("profile: expects comma-separated 0/1 entries")
+        if len(parts) > MULTILINEAR_MAX_ARITY + 1:
+            raise ValueError("profile: at most %d entries (arity %d)"
+                             % (MULTILINEAR_MAX_ARITY + 1,
+                                MULTILINEAR_MAX_ARITY))
         return TruthTable.from_profile(int(p) for p in parts)
     if kind == "formula":
         from . import formula

@@ -202,6 +202,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    source = "--max-n"
+    if args.max_n is None and "QUERYSYNTH_MAX_N" in os.environ:
+        source = "QUERYSYNTH_MAX_N"
+        try:
+            args.max_n = int(os.environ[source])
+        except ValueError:
+            return _fail_usage("QUERYSYNTH_MAX_N must be an integer")
+    if args.max_n is not None and args.max_n < 1:
+        return _fail_usage("%s must be at least 1" % source)
+    if args.jobs < 1:
+        return _fail_usage("--jobs must be at least 1")
+    jobs = min(args.jobs, os.cpu_count() or 1)
     if args.suite:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
     else:
@@ -214,7 +226,7 @@ def cmd_verify(args) -> int:
     human = []
     failed = 0
     for name in names:
-        rep = run_suite(name, max_n=args.max_n, seed=args.seed, jobs=args.jobs)
+        rep = run_suite(name, max_n=args.max_n, seed=args.seed, jobs=jobs)
         reports.append(rep.to_json())
         failed += rep.failed
         human.append("%-11s %d/%d passed over %d functions (%.1fs)"
@@ -269,11 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "max_n", None) is None and "QUERYSYNTH_MAX_N" in os.environ:
-        try:
-            args.max_n = int(os.environ["QUERYSYNTH_MAX_N"])
-        except ValueError:
-            return _fail_usage("QUERYSYNTH_MAX_N must be an integer")
     try:
         return args.func(args)
     except SystemExit as e:

@@ -575,7 +575,9 @@ def program_from_json(obj) -> object:
         children = tuple(program_from_json(ch) for ch in obj["children"])
         return UnitaryBlock(labels, mats, children)
     if kind == "axiom":
+        k = obj.get("k")
+        if k is not None and type(k) is not int:  # bool is not a count
+            raise ValueError("axiom k must be null or an integer")
         return AxiomLeaf(obj["class"], tuple(int(v) for v in obj["vars"]),
-                         int(obj["queries"]), obj["citation"],
-                         obj.get("k"))
+                         int(obj["queries"]), obj["citation"], k)
     raise ValueError("unknown program node kind %r" % kind)

@@ -7,7 +7,8 @@ function classes whose exact quantum query complexity is known to beat
 this space (EXACT/threshold counting classes and the two-query
 three-variable and-or function). Costs for all functions of arity at
 most 4 are tabulated in full; larger arities are solved on demand with
-memoization.
+memoization, and the memo keeps the route that reached each cost so that
+the program builder replays it instead of searching again.
 
 A synthesized certificate carries the program, its claimed query count,
 the rules that produced it, and enough structure for an independent
@@ -17,6 +18,7 @@ when literature leaves are present, by path-constraint auditing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -136,7 +138,8 @@ def _insert_zero(ms: np.ndarray, pos: int) -> np.ndarray:
     return ((ms >> pos) << (pos + 1)) | low
 
 
-def _queries_in_order(n: int):
+@functools.cache
+def _queries_in_order(n: int) -> tuple:
     """Shared candidate order: xor pairs first, then single variables."""
     order = []
     for i in range(1, n + 1):
@@ -144,7 +147,15 @@ def _queries_in_order(n: int):
             order.append(("xor", i, j))
     for p in range(1, n + 1):
         order.append(("cq", p))
-    return order
+    return tuple(order)
+
+
+def _residual(f: TruthTable, route: tuple, b: int) -> TruthTable:
+    """f after the route's query answered b: x_p = b for ("cq", p),
+    x_i xor x_j = b for ("xor", i, j)."""
+    if route[0] == "cq":
+        return f.restrict(route[1], b)
+    return f.substitute_xor(route[1], route[2], b)
 
 
 _cost_arrays_cache: list | None = None
@@ -210,7 +221,10 @@ def _cost_arrays() -> list:
 # cost engine, memoized part
 
 
-_cost_memo: dict[tuple[int, int], int] = {}
+# (arity, bits) -> (cost, witness): the witness is the index in
+# _queries_in_order of the first route reaching the cost, None when a
+# closed form set it
+_cost_memo: dict[tuple[int, int], tuple[int, int | None]] = {}
 
 
 def _parity_pattern(f: TruthTable):
@@ -246,50 +260,42 @@ def _cost_of(f: TruthTable) -> int:
     t, _ = f.drop_dead()
     if t.arity <= ENGINE_ARRAY_MAX:
         return int(_cost_arrays()[t.arity][t.bits])
-    return _cost_big(t)
+    return _cost_big(t)[0]
 
 
-def _cost_big(t: TruthTable) -> int:
+def _cost_big(t: TruthTable) -> tuple[int, int | None]:
+    """(cost, witness) of a full-support table of arity > ENGINE_ARRAY_MAX."""
     n = t.arity
     key = (n, t.bits)
     got = _cost_memo.get(key)
     if got is not None:
         return got
-    inv = _parity_pattern(t)
-    if inv is not None:
-        best = (n + 1) // 2
-        _cost_memo[key] = best
-        return best
-    if n == 5:
-        info = _axiom_orbit_map(5).get(t.bits)
+    if _parity_pattern(t) is not None:
+        got = ((n + 1) // 2, None)
     else:
-        info = _symmetric_axiom(t)
-    if info is not None:
-        best = info[2]
-        _cost_memo[key] = best
-        return best
+        info = (_axiom_orbit_map(5).get(t.bits) if n == 5
+                else _symmetric_axiom(t))
+        got = (info[2], None) if info is not None else _route_search(t)
+    _cost_memo[key] = got
+    return got
+
+
+def _route_search(t: TruthTable) -> tuple[int, int | None]:
+    n = t.arity
     lb = max(1, (t.degree() + 1) // 2)
-    best = n
-    if _nae_pattern(t) is not None:
-        best = n - 1
+    best = n - 1 if _nae_pattern(t) is not None else n
+    witness = None
     if best > lb:
-        for kind, *args in _queries_in_order(n):
-            if kind == "cq":
-                c0 = t.restrict(args[0], 0)
-                c1 = t.restrict(args[0], 1)
-            else:
-                c0 = t.substitute_xor(args[0], args[1], 0)
-                c1 = t.substitute_xor(args[0], args[1], 1)
-            s0 = _cost_of(c0)
+        for idx, route in enumerate(_queries_in_order(n)):
+            s0 = _cost_of(_residual(t, route, 0))
             if 1 + s0 >= best:
                 continue
-            cand = 1 + max(s0, _cost_of(c1))
+            cand = 1 + max(s0, _cost_of(_residual(t, route, 1)))
             if cand < best:
-                best = cand
+                best, witness = cand, idx
                 if best <= lb:
                     break
-    _cost_memo[key] = best
-    return best
+    return best, witness
 
 
 def query_complexity(f: TruthTable) -> int:
@@ -474,7 +480,10 @@ def _build_impl(f: TruthTable, rules: list):
         _note(rules, RuleUse("R2", "classical chain, optimal for functions "
                              "with a unique deciding input", CITE_AND_OR))
         return _and_iso_chain(f)
-    c = _cost_of(f)
+    if n > ENGINE_ARRAY_MAX:
+        c, route = _cost_big(f)
+    else:
+        c, route = _cost_of(f), None
     inv = _parity_pattern(f)
     if inv is not None:
         assert c == (n + 1) // 2
@@ -485,26 +494,21 @@ def _build_impl(f: TruthTable, rules: list):
         _note(rules, RuleUse("R3", "neighbour xor chain for an "
                              "equality-to-pattern test", CITE_XOR_GADGET))
         return _nae_chain(f)
-    # candidate one-query continuations, in the shared deterministic order
-    routes = []
-    for kind, *args in _queries_in_order(n):
-        if kind == "cq":
-            c0 = f.restrict(args[0], 0)
-            c1 = f.restrict(args[0], 1)
-        else:
-            c0 = f.substitute_xor(args[0], args[1], 0)
-            c1 = f.substitute_xor(args[0], args[1], 1)
-        routes.append((kind, args, c0, c1, 1 + max(_cost_of(c0), _cost_of(c1))))
-    best_route = min(r[4] for r in routes)
+    if route is None:
+        # no witness from the engine: the first route in the shared order
+        # whose residuals both fit in c - 1 queries, if any
+        route = next((idx for idx, r in enumerate(_queries_in_order(n))
+                      if _cost_of(_residual(f, r, 0)) < c
+                      and _cost_of(_residual(f, r, 1)) < c), None)
     info = _axiom_class_of(f)
-    if info is not None and info[2] == c and best_route > c:
+    if info is not None and info[2] == c and route is None:
         class_id, k, q = info
         rule = "R4" if class_id == "and_or_3" else "R3"
         _note(rules, RuleUse(rule, "known exact algorithm for the %s class"
                              % class_id, axiom_citation(class_id)))
         return AxiomLeaf(class_id, tuple(range(1, n + 1)), q,
                          axiom_citation(class_id), k)
-    if n == 3 and best_route > c:
+    if n == 3 and route is None:
         # not in any catalogued orbit yet cheaper than every one-query
         # continuation: the 3-bit classification guarantees two queries
         assert c == 2
@@ -532,26 +536,20 @@ def _build_impl(f: TruthTable, rules: list):
                 _note(rules, RuleUse("R5", "sequential composition of "
                                      "variable-disjoint factors"))
                 return composed
-    for kind, args, c0, c1, route_cost in routes:
-        if route_cost != c:
-            continue
-        if kind == "cq":
-            p = args[0]
-            mapping = {v: (v if v < p else v + 1)
-                       for v in range(1, n)}
-            t0 = _remap(_build(c0, rules), mapping, 0)
-            t1 = _remap(_build(c1, rules), mapping, 0)
-            _note(rules, RuleUse("R6", "adaptive search, classical branch"))
-            return ClassicalQuery(p, t0, t1)
-        i, j = args
-        mapping = {v: (v if v < j else v + 1) for v in range(1, n)}
-        t0 = _remap(_build(c0, rules), mapping, 0)
-        t1 = _remap(_build(c1, rules), mapping, 0)
-        _note(rules, RuleUse("R6", "adaptive search, xor branch",
-                             CITE_XOR_GADGET))
-        return XorQuery(i, j, t0, t1)
-    raise RuntimeError("internal: no construction achieves cost %d for %s"
-                       % (c, f.to_hex_text()))
+    if route is None:
+        raise RuntimeError("internal: no construction achieves cost %d for %s"
+                           % (c, f.to_hex_text()))
+    route = _queries_in_order(n)[route]
+    gone = route[-1]  # the variable the residuals no longer read
+    mapping = {v: (v if v < gone else v + 1) for v in range(1, n)}
+    t0 = _remap(_build(_residual(f, route, 0), rules), mapping, 0)
+    t1 = _remap(_build(_residual(f, route, 1), rules), mapping, 0)
+    if route[0] == "cq":
+        _note(rules, RuleUse("R6", "adaptive search, classical branch"))
+        return ClassicalQuery(gone, t0, t1)
+    _note(rules, RuleUse("R6", "adaptive search, xor branch",
+                         CITE_XOR_GADGET))
+    return XorQuery(route[1], gone, t0, t1)
 
 
 # ---------------------------------------------------------------------------

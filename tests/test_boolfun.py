@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from querysynth.boolfun import (
     DEPTH_MAX_ARITY,
+    MULTILINEAR_MAX_ARITY,
     NpnTransform,
     TruthTable,
     parse_function,
@@ -482,6 +483,28 @@ def test_parse_errors():
                 "profile:0,1,2", "hex:12345", "formula:x1&&"):
         with pytest.raises(ValueError):
             parse_function(bad)
+
+
+def test_parse_caps_profile_arity_before_allocating(monkeypatch):
+    from querysynth import boolfun
+
+    class PopcountTable(Exception):
+        pass
+
+    def no_popcount_table(n):
+        raise PopcountTable(n)
+
+    monkeypatch.setattr(boolfun, "_popcnt", no_popcount_table)
+
+    def profile(entries):
+        return "profile:" + ",".join("01"[w & 1] for w in range(entries))
+
+    for entries in (MULTILINEAR_MAX_ARITY + 2, 30):
+        with pytest.raises(ValueError, match="at most"):
+            parse_function(profile(entries))
+    # the largest accepted profile gets as far as the table build
+    with pytest.raises(PopcountTable):
+        parse_function(profile(MULTILINEAR_MAX_ARITY + 1))
 
 
 def test_family_builders_frozen_tables():

@@ -205,6 +205,20 @@ def test_simulate_axiom_certificates_are_refused(tmp_path, capsys):
     assert "not simulatable: axiom leaf at" in err
 
 
+@pytest.mark.parametrize("k", ["x", 2.5, True])
+def test_simulate_rejects_non_integer_axiom_k(tmp_path, capsys, k):
+    obj = certificate_to_json(synthesize(table_exact(4, 2)))
+    leaf = obj["program"]
+    assert leaf["kind"] == "axiom" and leaf["k"] == 2
+    leaf["k"] = k
+    with pytest.raises(ValueError, match="axiom k"):
+        certificate_from_json(obj)
+    rc, out, err = run_cli(capsys, "simulate", _write(tmp_path, "c.json", obj))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: not a valid certificate file:")
+    assert err.count("\n") == 1
+
+
 def test_simulate_unreadable_or_garbage_files(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "simulate", str(tmp_path / "missing.json"))
     assert rc == 2 and "cannot read" in err
@@ -271,6 +285,42 @@ def test_verify_max_n_env_and_flag(monkeypatch, capsys):
                          "--max-n", "3", "--format", "json")
     assert rc == 0
     assert json.loads(out)["reports"][0]["population"] == 4 + 8 + 16
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_rejects_max_n_below_one(monkeypatch, capsys, value):
+    monkeypatch.delenv("QUERYSYNTH_MAX_N", raising=False)
+    rc, out, err = run_cli(capsys, "verify", "--suite", "primitives",
+                           "--max-n", value)
+    assert (rc, out) == (2, "")
+    assert err == "error: --max-n must be at least 1\n"
+    monkeypatch.setenv("QUERYSYNTH_MAX_N", value)
+    rc, out, err = run_cli(capsys, "verify", "--suite", "primitives")
+    assert (rc, out) == (2, "")
+    assert err == "error: QUERYSYNTH_MAX_N must be at least 1\n"
+
+
+def test_verify_jobs_rejected_below_one_and_clamped(monkeypatch, capsys):
+    from querysynth.suites import SuiteReport
+    seen = []
+
+    def fake(name, max_n=None, seed=0, jobs=1):
+        seen.append(jobs)
+        return SuiteReport(name, 1, 1, 1, 0, [], 0.0, {})
+
+    monkeypatch.setattr(cli, "run_suite", fake)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for jobs in ("0", "-2"):
+        rc, out, err = run_cli(capsys, "verify", "--suite", "counting",
+                               "--jobs", jobs)
+        assert (rc, out) == (2, "")
+        assert err == "error: --jobs must be at least 1\n"
+    assert seen == []
+    for jobs, want in (("1", 1), ("3", 3), ("1000000", 3)):
+        rc, _, _ = run_cli(capsys, "verify", "--suite", "counting",
+                           "--jobs", jobs)
+        assert rc == 0
+        assert seen.pop() == want
 
 
 def test_verify_bad_env_value(monkeypatch, capsys):

@@ -7,6 +7,7 @@ the single-literal and xor-of-two-literals forms need one.
 """
 
 import collections
+import hashlib
 import itertools
 import json
 import random
@@ -25,6 +26,7 @@ from querysynth.boolfun import (
     table_parity,
     table_threshold,
 )
+from querysynth import synth
 from querysynth.qprogram import (AxiomLeaf, axiom_citation, axiom_queries,
                                  axiom_rep_table, collect_axioms)
 from querysynth.synth import (
@@ -175,6 +177,13 @@ def test_counting_class_cost_is_npn_invariant(n, exact, rnd):
     assert query_complexity(f) == axiom_queries(class_id, n, k)
     rep = verify_certificate(synthesize(f))
     assert rep.ok, rep.failures
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((5, 5, 6, 6, 7)), st.randoms())
+def test_cost_is_npn_invariant(n, rnd):
+    f = TruthTable(n, rnd.getrandbits(1 << n))
+    assert query_complexity(f) == query_complexity(_random_npn(rnd, n).apply(f))
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +417,41 @@ def test_table_json_guards():
     obj["function"]["arity"] = 3
     with pytest.raises(ValueError):
         certificate_from_json(obj)
+
+
+def frozen_population():
+    """Every 3-bit table, then seeded random tables at n=4..7."""
+    yield from (TruthTable(3, b) for b in range(256))
+    rng = random.Random(20140611)
+    for n, count in ((4, 200), (5, 30), (6, 8), (7, 2)):
+        for _ in range(count):
+            yield TruthTable(n, rng.getrandbits(1 << n))
+
+
+# sha256 of the certificate JSON for frozen_population(), recorded before
+# the builder replayed the engine's witness routes; any change to a
+# program, a rule list or a claim changes it
+FROZEN_CERTIFICATES_SHA256 = (
+    "26be11738cde0418e69c0938fc6b9600e7f92fe17a1749fb5b6f2929426b88e5")
+
+
+def test_certificate_json_frozen():
+    digest = hashlib.sha256()
+    for f in frozen_population():
+        blob = json.dumps(certificate_to_json(synthesize(f)), sort_keys=True)
+        digest.update(blob.encode() + b"\n")
+    assert digest.hexdigest() == FROZEN_CERTIFICATES_SHA256
+
+
+def test_synthesis_adds_no_engine_entries():
+    rng = random.Random(5)
+    for n, count in ((5, 20), (6, 6), (7, 2)):
+        for _ in range(count):
+            f = TruthTable(n, rng.getrandbits(1 << n))
+            query_complexity(f)
+            before = len(synth._cost_memo)
+            synthesize(f)
+            assert len(synth._cost_memo) == before, f
 
 
 # ---------------------------------------------------------------------------
