@@ -212,6 +212,42 @@ def _perm_codes(n: int):
     return got
 
 
+def _pack_msb_first(values: np.ndarray) -> np.ndarray:
+    """0/1 tables along the last axis -> uint64 keys, code 0 the most
+    significant bit, so that comparing keys compares tables
+    lexicographically from code 0 up. Tables have at most 64 entries."""
+    size = values.shape[-1]
+    packed = np.packbits(values, axis=-1)
+    nbytes = packed.shape[-1]
+    buf = np.zeros(packed.shape[:-1] + (8,), dtype=np.uint8)
+    buf[..., 8 - nbytes:] = packed
+    keys = buf.view(">u8")[..., 0].astype(np.uint64)
+    return keys >> np.uint64(8 * nbytes - size)
+
+
+def _flip_images(keys: np.ndarray, n: int) -> np.ndarray:
+    """Stack 2**n copies of `keys` along a new first axis: copy F is the
+    key of the table with the input bits in F negated.
+
+    In a key from `_pack_msb_first`, code m sits at bit position
+    (2**n - 1) ^ m, so negating input bit p swaps the key's bit-p-clear
+    and bit-p-set positions: one delta swap, which doubles the copies.
+    """
+    out = np.empty((1 << n,) + keys.shape, dtype=keys.dtype)
+    out[0] = keys
+    word = keys.dtype.type
+    masks = _var_masks(n)
+    full = (1 << (1 << n)) - 1
+    for p in range(n):
+        half = 1 << p
+        low, shift = word(~masks[p] & full), word(half)
+        src, dst = out[:half], out[half:2 * half]
+        np.right_shift(src, shift, out=dst)
+        dst &= low
+        dst |= (src & low) << shift
+    return out
+
+
 def _npn_canonical(f: "TruthTable") -> tuple["TruthTable", NpnTransform]:
     n = f.arity
     if n > NPN_MAX_ARITY:
@@ -219,22 +255,24 @@ def _npn_canonical(f: "TruthTable") -> tuple["TruthTable", NpnTransform]:
                          % (NPN_MAX_ARITY, n))
     size = 1 << n
     perms, codes = _perm_codes(n)
-    values = _unpack_values(f.bits, n)
-    weights = np.left_shift(np.uint64(1),
-                            np.arange(size - 1, -1, -1, dtype=np.uint64))
-    fullkey = np.uint64((1 << size) - 1) if size < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
-    best = None
-    for flips in range(size):
-        keys = values[codes ^ flips] @ weights
-        negkeys = fullkey - keys
-        i1 = int(np.argmin(keys))
-        i2 = int(np.argmin(negkeys))
-        for key, idx, neg in ((int(keys[i1]), i1, 0), (int(negkeys[i2]), i2, 1)):
-            if best is None or key < best[0]:
-                best = (key, flips, idx, neg)
-    _, flips, pidx, neg = best
-    t = NpnTransform(perms[pidx], flips, neg)
-    return t.apply(f), t
+    count = len(perms)
+    images = _flip_images(_pack_msb_first(_unpack_values(f.bits, n)[codes]), n)
+    full = (1 << size) - 1
+    best = min(int(images.min()), full ^ int(images.max()))
+    plain = np.flatnonzero(images == np.uint64(best))
+    negated = np.flatnonzero(images == np.uint64(full ^ best))
+    # images[F, t] is the transform (perms[t], flips=codes[t, F]): codes[t]
+    # maps code bits linearly, so negating the bits F after the permutation
+    # negates the bits codes[t, F] before it
+    flipped, pidx = np.divmod(np.concatenate((plain, negated)), count)
+    neg = np.arange(pidx.size) >= plain.size
+    # the first minimum in (flips, neg, perm index) order wins
+    order = int(((codes[pidx, flipped] * 2 + neg) * count + pidx).min())
+    rest, t = divmod(order, count)
+    transform = NpnTransform(perms[t], rest >> 1, rest & 1)
+    # the key lists the canonical table from code 0 down; reverse it
+    canon = int(format(best, "0%db" % size)[::-1], 2)
+    return TruthTable(n, canon), transform
 
 
 # ---------------------------------------------------------------------------
@@ -507,28 +545,21 @@ class TruthTable:
 
     # -- polynomial ---------------------------------------------------------
 
-    def _moebius(self) -> np.ndarray:
+    def _check_multilinear(self):
         if self.arity > MULTILINEAR_MAX_ARITY:
             raise ValueError("multilinear transform supports arity <= %d"
                              % MULTILINEAR_MAX_ARITY)
-        arr = self.values().astype(np.int64)
-        for i in range(self.arity):
-            a = arr.reshape(-1, 2, 1 << i)
-            a[:, 1, :] -= a[:, 0, :]
-        return arr
 
     def multilinear(self) -> MultilinearPoly:
-        arr = self._moebius()
+        self._check_multilinear()
+        arr = _moebius(self.values())
         nz = np.nonzero(arr)[0]
         return MultilinearPoly(self.arity,
                                {int(s): int(arr[s]) for s in nz})
 
     def degree(self) -> int:
-        arr = self._moebius()
-        nz = arr != 0
-        if not nz.any():
-            return 0
-        return int(_popcnt(self.arity)[nz].max())
+        self._check_multilinear()
+        return _table_degree(self.bits, self.arity)
 
     def decision_tree_depth(self) -> int:
         """Minimum depth of a classical decision tree computing f exactly."""
@@ -568,15 +599,42 @@ class TruthTable:
 _depth_memo: dict[tuple[int, int], int] = {}
 
 
+def _moebius(values: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Moebius transform along the first axis (length 2**n) of 0/1 tables:
+    entry S of the result is the coefficient of the monomial prod_{i in S}
+    x_i in the table's multilinear polynomial."""
+    arr = values.astype(dtype)
+    for i in range(arr.shape[0].bit_length() - 1):
+        a = arr.reshape((-1, 2, 1 << i) + arr.shape[1:])
+        a[:, 1] -= a[:, 0]
+    return arr
+
+
+# arities whose degrees come from a table of all 2**(2**n) functions
+_DEGREE_TABLE_MAX_ARITY = 4
+_degree_tables: dict[int, bytes] = {}
+
+
 def _table_degree(bits: int, n: int) -> int:
-    arr = _unpack_values(bits, n).astype(np.int64)
-    for i in range(n):
-        a = arr.reshape(-1, 2, 1 << i)
-        a[:, 1, :] -= a[:, 0, :]
-    nz = arr != 0
-    if not nz.any():
-        return 0
-    return int(_popcnt(n)[nz].max())
+    """Degree of the multilinear polynomial of the arity-n table `bits`."""
+    if n <= _DEGREE_TABLE_MAX_ARITY:
+        got = _degree_tables.get(n)
+        if got is None:
+            size = 1 << n
+            tables = np.arange(1 << size, dtype=np.uint32)
+            values = np.empty((size, tables.size), dtype=np.int8)
+            for m in range(size):
+                values[m] = (tables >> m) & 1
+            degrees = np.zeros(tables.size, dtype=np.uint8)
+            # coefficients lie in [-2**(n-1), 2**(n-1)]
+            for s, row in enumerate(_moebius(values, np.int8)):
+                np.maximum(degrees, (row != 0) * np.uint8(s.bit_count()),
+                           out=degrees)
+            got = degrees.tobytes()
+            _degree_tables[n] = got
+        return got[bits]
+    weights = _popcnt(n)[_moebius(_unpack_values(bits, n)) != 0]
+    return int(weights.max()) if weights.size else 0
 
 
 def _depth(bits: int, n: int) -> int:
@@ -591,8 +649,12 @@ def _depth(bits: int, n: int) -> int:
     got = _depth_memo.get(key)
     if got is not None:
         return got
-    lb = max(1, _table_degree(bits, n))
-    best = n  # querying every variable always works
+    # degree <= depth <= n, and querying every variable meets n
+    lb = _table_degree(bits, n)
+    if lb == n:
+        return n
+    lb = max(1, lb)
+    best = n
     for p in range(n):
         d0 = _depth(_restrict_bits(bits, n, p, 0), n - 1)
         if 1 + d0 >= best:

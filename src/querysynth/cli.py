@@ -147,6 +147,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # the JSON reader, the loader and the program walks recurse once per
+    # nesting level; all of them finish before anything is printed
+    try:
+        return _simulate_file(args)
+    except RecursionError:
+        return _fail_usage("%s: program nested too deeply" % args.path)
+
+
+def _simulate_file(args) -> int:
     try:
         with open(args.path) as fh:
             obj = json.load(fh)

@@ -511,11 +511,19 @@ def _matrix_to_json(mat: Matrix) -> dict:
     }
 
 
+def _json_int(value, name: str) -> int:
+    """`value` if it is a JSON integer; floats, strings and booleans are
+    refused rather than converted, so that 1.9 cannot stand for 1."""
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return value
+
+
 def _matrix_from_json(obj) -> Matrix:
     rows = tuple(tuple(complex(re, im) if im else (int(re) if float(re).is_integer() else re)
                        for re, im in row)
                  for row in obj["rows"])
-    return Matrix(rows, int(obj["normExp"]))
+    return Matrix(rows, _json_int(obj["normExp"], "normExp"))
 
 
 def program_to_json(node) -> dict:
@@ -549,26 +557,27 @@ def program_from_json(obj) -> object:
         raise ValueError("program node must be a JSON object")
     kind = obj.get("kind")
     if kind == "output":
-        bit = obj["bit"]
+        bit = _json_int(obj["bit"], "output bit")
         if bit not in (0, 1):
             raise ValueError("output bit must be 0 or 1")
         return Output(bit)
     if kind == "cq":
-        var = int(obj["var"])
+        var = _json_int(obj["var"], "cq var")
         if var < 1:
             raise ValueError("cq var must be at least 1")
         return ClassicalQuery(var,
                               program_from_json(obj["child0"]),
                               program_from_json(obj["child1"]))
     if kind == "xq":
-        i, j = int(obj["i"]), int(obj["j"])
+        i, j = _json_int(obj["i"], "xq i"), _json_int(obj["j"], "xq j")
         if i == j or i < 1 or j < 1:
             raise ValueError("xq needs two distinct variables")
         return XorQuery(i, j,
                         program_from_json(obj["child0"]),
                         program_from_json(obj["child1"]))
     if kind == "ub":
-        labels = tuple(None if v is None else int(v) for v in obj["labels"])
+        labels = tuple(None if v is None else _json_int(v, "ub label")
+                       for v in obj["labels"])
         if any(v is not None and v < 1 for v in labels):
             raise ValueError("ub labels must be null or at least 1")
         mats = tuple(_matrix_from_json(m) for m in obj["matrices"])
@@ -576,8 +585,10 @@ def program_from_json(obj) -> object:
         return UnitaryBlock(labels, mats, children)
     if kind == "axiom":
         k = obj.get("k")
-        if k is not None and type(k) is not int:  # bool is not a count
-            raise ValueError("axiom k must be null or an integer")
-        return AxiomLeaf(obj["class"], tuple(int(v) for v in obj["vars"]),
-                         int(obj["queries"]), obj["citation"], k)
+        if k is not None:
+            k = _json_int(k, "axiom k")
+        return AxiomLeaf(obj["class"],
+                         tuple(_json_int(v, "axiom var") for v in obj["vars"]),
+                         _json_int(obj["queries"], "axiom queries"),
+                         obj["citation"], k)
     raise ValueError("unknown program node kind %r" % kind)

@@ -21,6 +21,9 @@ from . import synth
 from .boolfun import (
     NpnTransform,
     TruthTable,
+    _flip_images,
+    _pack_msb_first,
+    _perm_codes,
     _restrict_bits,
     symmetric_decision_depth,
     table_and,
@@ -340,26 +343,18 @@ def suite_depth(max_n=None, seed=0, jobs=1) -> SuiteReport:
 
 
 def _census4():
-    """Distinct equivalence classes of 4-bit functions under variable
-    permutation, input negation and output negation, by vectorized
-    canonicalization of all 65,536 tables at once."""
-    t = np.arange(65536, dtype=np.uint64)
-    m = np.arange(16, dtype=np.uint64)
-    values = ((t[:, None] >> m[None, :]) & np.uint64(1)).astype(np.uint64)
-    weights = np.uint64(1) << m
+    """NPN class label of every 4-bit table: the least key over its
+    orbit under variable permutation, input negation and output negation,
+    computed for all 65,536 tables at once, one permutation at a time."""
+    tables = np.arange(1 << 16, dtype=np.uint32)
+    values = ((tables[:, None] >> np.arange(16, dtype=np.uint32))
+              & 1).astype(np.uint8)
     best = None
-    for perm in itertools.permutations(range(4)):
-        for flips in range(16):
-            src = np.empty(16, dtype=np.int64)
-            for code in range(16):
-                s = 0
-                for j in range(4):
-                    b = ((code >> j) & 1) ^ ((flips >> j) & 1)
-                    s |= b << perm[j]
-                src[code] = s
-            img = (values[:, src] * weights[None, :]).sum(axis=1)
-            cand = np.minimum(img, img ^ np.uint64(0xffff))
-            best = cand if best is None else np.minimum(best, cand)
+    for perm_codes in _perm_codes(4)[1]:
+        keys = _pack_msb_first(values[:, perm_codes]).astype(np.uint16)
+        images = _flip_images(keys, 4)
+        cand = np.minimum(images.min(axis=0), 0xffff ^ images.max(axis=0))
+        best = cand if best is None else np.minimum(best, cand)
     return best
 
 

@@ -30,7 +30,7 @@ from .formula import _components
 from .qprogram import (AxiomLeaf, ClassicalQuery, Output, UnitaryBlock,
                        XorQuery, axiom_citation, axiom_queries,
                        axiom_rep_table, classify_level, collect_axioms,
-                       max_var, program_from_json, program_to_json,
+                       _json_int, max_var, program_from_json, program_to_json,
                        query_cost, simulate, CITE_AND_OR, CITE_THREE_BIT)
 
 __all__ = [
@@ -875,7 +875,7 @@ def _table_to_json(f: TruthTable) -> dict:
 def _table_from_json(obj) -> TruthTable:
     from .boolfun import parse_function
     f = parse_function(obj["table"])
-    n = int(obj["arity"])
+    n = _json_int(obj["arity"], "function arity")
     if f.arity != n:
         if f.arity > n:
             raise ValueError("table wider than declared arity")
@@ -906,7 +906,7 @@ def certificate_from_json(obj) -> Certificate:
                   for r in obj.get("rulesUsed", ()))
     return Certificate(_table_from_json(obj["function"]),
                        program_from_json(obj["program"]),
-                       int(obj["claimedQueries"]),
+                       _json_int(obj["claimedQueries"], "claimedQueries"),
                        obj["level"],
                        rules,
                        bool(obj.get("optimal", False)))

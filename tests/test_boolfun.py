@@ -8,6 +8,7 @@ have something genuinely separate to agree with.
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from querysynth.boolfun import (
     table_parity,
     table_threshold,
 )
+from querysynth.boolfun import _perm_codes, _unpack_values
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +92,33 @@ def moebius_oracle(t):
         if acc:
             coeffs[s] = acc
     return coeffs
+
+
+def npn_canonical_oracle(t):
+    """The exhaustive search npn_canonical used to run: one pass per
+    input-flip mask over all n! permuted tables, keys with code 0 as the
+    most significant bit, and the first minimum in (flips, neg, perm
+    index) order wins."""
+    n = t.arity
+    size = 1 << n
+    perms, codes = _perm_codes(n)
+    values = _unpack_values(t.bits, n)
+    weights = np.left_shift(np.uint64(1),
+                            np.arange(size - 1, -1, -1, dtype=np.uint64))
+    fullkey = np.uint64((1 << size) - 1)
+    best = None
+    for flips in range(size):
+        keys = values[codes ^ flips] @ weights
+        negkeys = fullkey - keys
+        i1 = int(np.argmin(keys))
+        i2 = int(np.argmin(negkeys))
+        for key, idx, neg in ((int(keys[i1]), i1, 0),
+                              (int(negkeys[i2]), i2, 1)):
+            if best is None or key < best[0]:
+                best = (key, flips, idx, neg)
+    _, flips, pidx, neg = best
+    g = NpnTransform(perms[pidx], flips, neg)
+    return g.apply(t), g
 
 
 def monotone_oracle(t):
@@ -324,6 +353,24 @@ def test_multilinear_matches_moebius_oracle():
             assert t.multilinear().coeffs == moebius_oracle(t)
 
 
+def test_degree_matches_moebius_oracle():
+    # arities up to 4 read a table of every function's degree
+    def oracle_degree(t):
+        return max((s.bit_count() for s in moebius_oracle(t)), default=0)
+
+    for n in range(4):
+        for bits in range(1 << (1 << n)):
+            t = TruthTable(n, bits)
+            assert t.degree() == oracle_degree(t), t
+    rng = random.Random(23)
+    for n, count in ((4, 300), (5, 20), (6, 10)):
+        for _ in range(count):
+            t = TruthTable(n, rng.getrandbits(1 << n))
+            assert t.degree() == oracle_degree(t), t
+    for t in _structured_tables():
+        assert t.degree() == oracle_degree(t), t
+
+
 def test_multilinear_evaluates_to_function():
     rng = random.Random(11)
     for _ in range(30):
@@ -360,6 +407,38 @@ def test_depth_against_oracle_sampled():
             bits = rng.getrandbits(1 << n)
             assert TruthTable(n, bits).decision_tree_depth() == \
                 depth_oracle(bits, n)
+
+
+def _low_degree_tables(rng, n, count):
+    """Tables whose top multilinear coefficient vanishes: as many ones on
+    even-weight inputs as on odd-weight ones."""
+    even = [m for m in range(1 << n) if not m.bit_count() & 1]
+    odd = [m for m in range(1 << n) if m.bit_count() & 1]
+    for _ in range(count):
+        k = rng.randrange(1, len(even))
+        bits = 0
+        for m in rng.sample(even, k) + rng.sample(odd, k):
+            bits |= 1 << m
+        yield TruthTable(n, bits)
+
+
+def test_depth_against_oracle_below_full_degree():
+    # depth returns n at once when the degree is n; these tables make it
+    # search, and the ones with a dead variable have depth below n
+    rng = random.Random(21)
+    below = 0
+    for n, count in ((5, 60), (6, 20), (7, 6)):
+        tables = list(_low_degree_tables(rng, n, count))
+        half = 1 << (n - 1)
+        for _ in range(count // 2):
+            low = rng.getrandbits(half)
+            tables.append(TruthTable(n, low | (low << half)))
+        for t in tables:
+            assert t.degree() < n, t
+            d = t.decision_tree_depth()
+            assert d == depth_oracle(t.bits, n), t
+            below += d < n
+    assert below > 0
 
 
 def test_depth_known_values():
@@ -446,6 +525,46 @@ def test_canonical_transform_recreates_table():
         t = TruthTable(n, rng.getrandbits(1 << n))
         canon, g = t.npn_canonical()
         assert g.apply(t).bits == canon.bits
+
+
+def test_canonical_matches_oracle_exhaustive_small():
+    for n in range(4):
+        for bits in range(1 << (1 << n)):
+            t = TruthTable(n, bits)
+            assert t.npn_canonical() == npn_canonical_oracle(t), t
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=4, max_value=6), st.randoms())
+def test_canonical_matches_oracle_sampled(n, rnd):
+    t = TruthTable(n, rnd.getrandbits(1 << n))
+    assert t.npn_canonical() == npn_canonical_oracle(t)
+
+
+def _structured_tables():
+    rng = random.Random(22)
+    for n in range(1, 7):
+        size = 1 << n
+        full = (1 << size) - 1
+        yield TruthTable(n, 0)
+        yield TruthTable(n, full)
+        yield table_parity(n)
+        yield table_parity(n).complement()
+        # AND-isomorphic: one minority point
+        points = range(size) if n <= 4 else rng.sample(range(size), 6)
+        for m in points:
+            yield TruthTable(n, 1 << m)
+            yield TruthTable(n, full ^ (1 << m))
+        profiles = list(itertools.product((0, 1), repeat=n + 1))
+        if n == 6:
+            profiles = rng.sample(profiles, 24)
+        for prof in profiles:
+            yield TruthTable.from_profile(prof)
+
+
+def test_canonical_matches_oracle_structured():
+    for t in _structured_tables():
+        assert t.npn_canonical() == npn_canonical_oracle(t), t
 
 
 def test_and_isomorphic_counts():

@@ -1,8 +1,10 @@
 """Command-line behavior: exit codes, output shapes, file handling."""
 
+import hashlib
 import importlib
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -13,8 +15,9 @@ import pytest
 
 import querysynth
 from querysynth import cli
-from querysynth.boolfun import table_exact, table_parity
-from querysynth.qprogram import Output, parity_program, program_to_json
+from querysynth.boolfun import TruthTable, table_and, table_exact, table_parity
+from querysynth.qprogram import (Output, elaborate_xor, parity_program,
+                                 program_to_json)
 from querysynth.synth import (VerificationReport, certificate_from_json,
                               certificate_to_json, synthesize)
 
@@ -79,6 +82,46 @@ def test_analyze_writes_out_file(tmp_path, capsys):
     assert rc == 0
     obj = json.loads(target.read_text())
     assert obj["kind"] == "analysis" and obj["arity"] == 2
+
+
+def analyze_population():
+    """Seeded tables at n=1..8: random, with a dead variable, symmetric,
+    and one point away from a dead variable."""
+    rng = random.Random(20261018)
+    for n, count in ((1, 4), (2, 16), (3, 40), (4, 40), (5, 24), (6, 16),
+                     (7, 6), (8, 3)):
+        half = 1 << (n - 1)
+        for i in range(count):
+            kind = i % 4
+            if kind == 0:
+                bits = rng.getrandbits(1 << n)
+            elif kind == 1:
+                low = rng.getrandbits(half)
+                bits = low | (low << half)
+            elif kind == 2:
+                bits = TruthTable.from_profile(
+                    [rng.getrandbits(1) for _ in range(n + 1)]).bits
+            else:
+                low = rng.getrandbits(half)
+                bits = low | ((low ^ (1 << rng.randrange(half))) << half)
+            yield TruthTable(n, bits)
+
+
+# sha256 of the `analyze --format json` output for analyze_population(),
+# recorded before npn_canonical, degree and depth were rewritten
+FROZEN_ANALYSIS_SHA256 = (
+    "adf6c5e253effa577ac2b0f41fda5482177b7f2886d59b9658e0428077bbf55c")
+
+
+def test_analyze_json_frozen(capsys):
+    digest = hashlib.sha256()
+    for f in analyze_population():
+        text = f.to_hex_text() if f.arity >= 2 else f.to_bin_text()
+        rc, out, err = run_cli(capsys, "analyze", "--fn", text,
+                               "--format", "json")
+        assert rc == 0 and err == "", text
+        digest.update(out.encode())
+    assert digest.hexdigest() == FROZEN_ANALYSIS_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +260,100 @@ def test_simulate_rejects_non_integer_axiom_k(tmp_path, capsys, k):
     assert rc == 2 and out == ""
     assert err.startswith("error: not a valid certificate file:")
     assert err.count("\n") == 1
+
+
+def _ub_certificate():
+    """A certificate for 2-bit parity whose program is a unitary block."""
+    obj = certificate_to_json(synthesize(table_parity(2)))
+    obj["program"] = program_to_json(
+        elaborate_xor(certificate_from_json(obj).program))
+    return obj
+
+
+def _integer_field_cases():
+    """Field name -> (certificate, path to that integer field) for each
+    integer field the loaders read."""
+    and2 = certificate_to_json(synthesize(table_and(2)))
+    xor2 = certificate_to_json(synthesize(table_parity(2)))
+    leaf = certificate_to_json(synthesize(table_exact(4, 2)))
+    block = _ub_certificate()
+    label = next(i for i, v in enumerate(block["program"]["labels"])
+                 if v is not None)
+    return {
+        "var": (and2, ("program", "var")),
+        "i": (xor2, ("program", "i")),
+        "j": (xor2, ("program", "j")),
+        "labels": (block, ("program", "labels", label)),
+        "normExp": (block, ("program", "matrices", 0, "normExp")),
+        "vars": (leaf, ("program", "vars", 0)),
+        "queries": (leaf, ("program", "queries")),
+        "claimedQueries": (and2, ("claimedQueries",)),
+        "arity": (and2, ("function", "arity")),
+    }
+
+
+INTEGER_FIELDS = ("var", "i", "j", "labels", "normExp", "vars", "queries",
+                  "claimedQueries", "arity")
+
+
+def test_integer_field_cases_load_as_written(tmp_path, capsys):
+    cases = _integer_field_cases()
+    assert set(cases) == set(INTEGER_FIELDS)
+    for name, (obj, path) in cases.items():
+        node = obj
+        for key in path:
+            node = node[key]
+        assert type(node) is int, name
+        certificate_from_json(obj)
+    rc, out, _ = run_cli(capsys, "simulate",
+                         _write(tmp_path, "ub.json", _ub_certificate()))
+    assert rc == 0 and "exact:                yes" in out
+
+
+@pytest.mark.parametrize("value", [1.9, "2", True])
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_simulate_rejects_non_integer_fields(tmp_path, capsys, field, value):
+    obj, path = _integer_field_cases()[field]
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        certificate_from_json(obj)
+    rc, out, err = run_cli(capsys, "simulate", _write(tmp_path, "c.json", obj))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: not a valid certificate file:")
+    assert err.count("\n") == 1
+
+
+def test_simulate_deeply_nested_certificate(tmp_path, capsys):
+    obj = certificate_to_json(synthesize(table_and(2)))
+    obj["program"] = "@"
+    head, tail = json.dumps(obj).split('"@"')
+    depth = 5000
+    leaf = '{"kind": "output", "bit": 0}'
+    program = ('{"kind": "cq", "var": 1, "child0": ' * depth + leaf
+               + (', "child1": %s}' % leaf) * depth)
+    path = tmp_path / "deep.json"
+    path.write_text(head + program + tail)
+    rc, out, err = run_cli(capsys, "simulate", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
+def test_simulate_deeply_nested_blocks(tmp_path, capsys):
+    # shallow enough for the JSON reader, too deep for the program walks
+    block = ('{"kind": "ub", "labels": [null], "matrices": '
+             '[{"normExp": 0, "rows": [[[1, 0]]]}], "children": [')
+    depth = 450
+    program = block * depth + '{"kind": "output", "bit": 0}' + "]}" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(program)
+    rc, out, err = run_cli(capsys, "simulate", str(path), "--fn", "bin:00")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
 
 
 def test_simulate_unreadable_or_garbage_files(tmp_path, capsys):
