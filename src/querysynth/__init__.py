@@ -40,7 +40,6 @@ from .qprogram import (
     SimulationReport,
     UnitaryBlock,
     XorQuery,
-    axiom_table,
     classify_level,
     nae_program,
     parity_program,
@@ -98,7 +97,6 @@ __all__ = [
     "query_cost",
     "classify_level",
     "simulate",
-    "axiom_table",
     "program_to_json",
     "program_from_json",
     "query_complexity",

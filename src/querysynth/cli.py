@@ -186,7 +186,10 @@ def _simulate_file(args) -> int:
         print("error: not simulatable: axiom leaf at %s" % spots,
               file=sys.stderr)
         return 1
-    rep = simulate(program, f)
+    try:
+        rep = simulate(program, f)
+    except ValueError as e:
+        return _fail_usage("cannot simulate %s: %s" % (args.path, e))
     payload = {
         "schema": 1,
         "kind": "simulation",

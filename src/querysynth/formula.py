@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .boolfun import TruthTable, _var_masks
+from .boolfun import TruthTable, _restrict_bits, _var_masks
 
 __all__ = [
     "Leaf",
@@ -245,23 +245,33 @@ def recognize_read_once(f: TruthTable):
     for i in range(1, n + 1):
         if f.is_dead(i):
             raise ValueError("dead variable x%d" % i)
+    unate = _unate(f)
+    if unate is None:
+        return None  # not unate, so not read-once
+    g, flips = unate
+    ast = _decompose(g, tuple(range(1, n + 1)))
+    return None if ast is None else normalize(_apply_flips(ast, flips))
+
+
+def _unate(f: TruthTable):
+    """(g, flips) when f is unate, else None: negating the inputs in flips
+    (bit i-1 for x_i) makes g increasing in every variable."""
+    n = f.arity
     flips = 0
-    g = f
-    for i in range(1, n + 1):
-        f0 = g.restrict(i, 0).bits
-        f1 = g.restrict(i, 1).bits
+    for i in range(n):
+        f0 = _restrict_bits(f.bits, n, i, 0)
+        f1 = _restrict_bits(f.bits, n, i, 1)
         if f0 & ~f1 == 0:
             continue  # increasing in x_i
         if f1 & ~f0 == 0:
-            flips |= 1 << (i - 1)
-            g = g.negate_var(i)
+            flips |= 1 << i
         else:
-            return None  # not unate, so not read-once
-    ast = _decompose(g, tuple(range(1, n + 1)))
-    if ast is None:
-        return None
-    ast = _apply_flips(ast, flips)
-    return normalize(ast)
+            return None
+    g = f
+    for i in range(1, n + 1):
+        if (flips >> (i - 1)) & 1:
+            g = g.negate_var(i)
+    return g, flips
 
 
 def _apply_flips(node, flips: int):
@@ -290,9 +300,11 @@ def _components(groups, arity: int):
     return sorted(comps.values(), key=min)
 
 
-def _decompose(t: TruthTable, var_map: tuple[int, ...]):
-    if t.arity == 1:
-        return Leaf(var_map[0])
+def _split(t: TruthTable):
+    """(op, [(component, factor)]) when t, increasing in every variable,
+    is the OR (prime DNF terms in several components) or else the AND
+    (prime CNF clauses likewise) of factors on disjoint variable tuples;
+    each factor is t with the other variables fixed to the op's identity."""
     nf = t.prime_normal_forms()
     comps = _components(nf.dnf_terms, t.arity)
     if len(comps) > 1:
@@ -303,13 +315,26 @@ def _decompose(t: TruthTable, var_map: tuple[int, ...]):
             op, fill = "and", 1
         else:
             return None
-    children = []
+    parts = []
     for comp in comps:
         sub = t
         for i in range(t.arity, 0, -1):
             if i not in comp:
                 sub = sub.restrict(i, fill)
-        child = _decompose(sub, tuple(var_map[i - 1] for i in sorted(comp)))
+        parts.append((tuple(sorted(comp)), sub))
+    return op, parts
+
+
+def _decompose(t: TruthTable, var_map: tuple[int, ...]):
+    if t.arity == 1:
+        return Leaf(var_map[0])
+    split = _split(t)
+    if split is None:
+        return None
+    op, parts = split
+    children = []
+    for comp, sub in parts:
+        child = _decompose(sub, tuple(var_map[i - 1] for i in comp))
         if child is None:
             return None
         children.append(child)

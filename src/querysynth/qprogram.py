@@ -35,7 +35,6 @@ __all__ = [
     "axiom_queries",
     "axiom_rep_table",
     "axiom_citation",
-    "axiom_table",
     "program_to_json",
     "program_from_json",
 ]
@@ -76,7 +75,10 @@ class Matrix:
         n = self.dim
         if any(len(r) != n for r in self.rows):
             return False
-        s2 = 2.0 ** (-self.norm_exp)
+        try:
+            s2 = 2.0 ** (-self.norm_exp)
+        except OverflowError:
+            return False  # a scale beyond float range cannot be checked
         for a in range(n):
             for b in range(n):
                 dot = sum(self.rows[a][c] * complex(self.rows[b][c]).conjugate()
@@ -316,6 +318,8 @@ def _validate_blocks(node, path: str):
         _validate_blocks(node.child1, path + ".child1")
     elif isinstance(node, UnitaryBlock):
         dim = len(node.labels)
+        if dim == 0:
+            raise ValueError("unitary block at %s has no basis states" % path)
         if any(v is not None and v < 1 for v in node.labels):
             raise ValueError("unitary block at %s labels a variable below "
                              "x1" % path)
@@ -427,7 +431,7 @@ def simulate(program, f: TruthTable) -> SimulationReport:
 
 
 # ---------------------------------------------------------------------------
-# axiom table: the closed list of literature-backed leaves
+# axiom classes: the closed list of literature-backed leaves
 
 
 def axiom_queries(class_id: str, n: int, k: int | None = None) -> int:
@@ -481,24 +485,6 @@ def axiom_citation(class_id: str) -> str:
     raise ValueError("unknown axiom class %r" % class_id)
 
 
-def axiom_table(max_arity: int = 5):
-    """Concrete rows (class_id, n, k, queries, citation) up to max_arity."""
-    rows = []
-    for n in range(1, max_arity + 1):
-        for k in range(0, n + 1):
-            rows.append(("exact", n, k, axiom_queries("exact", n, k),
-                         CITE_EXACT_THRESHOLD))
-        for k in range(1, n + 1):
-            rows.append(("threshold", n, k, axiom_queries("threshold", n, k),
-                         CITE_EXACT_THRESHOLD))
-        rows.append(("and", n, None, n, CITE_AND_OR))
-        rows.append(("or", n, None, n, CITE_AND_OR))
-    if max_arity >= 3:
-        rows.append(("and_or_3", 3, None, 2, CITE_AND_OR_3))
-        rows.append(("three_bit", 3, None, 2, CITE_THREE_BIT))
-    return tuple(rows)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -519,9 +505,21 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _matrix_entry(pair):
+    """An [re, im] pair of JSON numbers; integral real entries stay int."""
+    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or any(type(v) not in (int, float) for v in pair)):
+        raise ValueError("matrix entries must be [re, im] number pairs")
+    re, im = pair
+    try:
+        return (complex(re, im) if im else
+                int(re) if float(re).is_integer() else re)
+    except OverflowError:
+        raise ValueError("matrix entry beyond floating-point range") from None
+
+
 def _matrix_from_json(obj) -> Matrix:
-    rows = tuple(tuple(complex(re, im) if im else (int(re) if float(re).is_integer() else re)
-                       for re, im in row)
+    rows = tuple(tuple(_matrix_entry(pair) for pair in row)
                  for row in obj["rows"])
     return Matrix(rows, _json_int(obj["normExp"], "normExp"))
 

@@ -24,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfun import (NpnTransform, TruthTable, _perm_codes, _unpack_values,
-                      table_parity)
-from .formula import _components
+from .boolfun import NpnTransform, TruthTable, _flip_images, table_parity
+from .formula import _split, _unate
 from .qprogram import (AxiomLeaf, ClassicalQuery, Output, UnitaryBlock,
                        XorQuery, axiom_citation, axiom_queries,
                        axiom_rep_table, classify_level, collect_axioms,
-                       _json_int, max_var, program_from_json, program_to_json,
-                       query_cost, simulate, CITE_AND_OR, CITE_THREE_BIT)
+                       _json_int, max_var, parity_program, program_from_json,
+                       program_to_json, query_cost, simulate, CITE_AND_OR,
+                       CITE_THREE_BIT)
 
 __all__ = [
     "ENGINE_ARRAY_MAX",
@@ -51,81 +51,39 @@ ENGINE_MAX_ARITY = 12
 
 CITE_XOR_GADGET = ("Cleve, Ekert, Macchiavello and Mosca 1998: one exact "
                    "query evaluates x_i xor x_j")
-CITE_DEGREE_BOUND = ("Beals, Buhrman, Cleve, Mosca and de Wolf 2001: exact "
-                     "quantum query complexity is at least deg(f)/2")
 
 
 # ---------------------------------------------------------------------------
-# axiom class orbits
-
-
-def _orbit_bits(f: TruthTable):
-    """Every table in the negation/permutation/complement orbit of f."""
-    n = f.arity
-    size = 1 << n
-    perms, codes = _perm_codes(n)
-    values = _unpack_values(f.bits, n)
-    pows = np.left_shift(np.int64(1), np.arange(size, dtype=np.int64))
-    full = (1 << size) - 1
-    seen = set()
-    for flips in range(size):
-        packed = values[codes ^ flips] @ pows
-        for b in packed.tolist():
-            seen.add(b)
-            seen.add(full ^ b)
-    return seen
-
-
-_axiom_maps: dict[int, dict] = {}
-
-
-def _axiom_orbit_map(n: int) -> dict:
-    """bits -> (class_id, k, queries) for every table of arity n that is
-    isomorphic to a catalogued class. Kept for arity <= 5."""
-    got = _axiom_maps.get(n)
-    if got is not None:
-        return got
-    reps = []
-    reps.append(("and", None))
-    reps.append(("or", None))
-    for k in range(0, n + 1):
-        reps.append(("exact", k))
-    for k in range(1, n + 1):
-        reps.append(("threshold", k))
-    if n == 3:
-        reps.append(("and_or_3", None))
-    table: dict = {}
-    for class_id, k in reps:
-        q = axiom_queries(class_id, n, k)
-        for b in _orbit_bits(axiom_rep_table(class_id, n, k)):
-            prev = table.get(b)
-            if prev is None:
-                table[b] = (class_id, k, q)
-            elif prev[2] != q:
-                raise RuntimeError("conflicting axiom costs for one class")
-    _axiom_maps[n] = table
-    return table
+# axiom classes
 
 
 def _symmetric_axiom(f: TruthTable):
     """(class_id, k, queries) when f, after the input negations that make
     it symmetric, matches a counting class directly or after
-    complementing the output; works at any arity."""
+    complementing the output; works at any arity. k is the least in the
+    class's NPN orbit, which also holds exact(n, n-k) and
+    threshold(n, n+1-k)."""
     orbit = f.symmetric_orbit()
     if orbit is None:
         return None
-    profile = orbit[0]
     n = f.arity
     for neg in (0, 1):
-        p = tuple(b ^ neg for b in profile)
-        ones = [w for w, b in enumerate(p) if b]
+        ones = [w for w, b in enumerate(orbit[0]) if b ^ neg]
         if len(ones) == 1:
-            k = ones[0]
+            k = min(ones[0], n - ones[0])
             return ("exact", k, axiom_queries("exact", n, k))
         if ones and ones[0] >= 1 and ones == list(range(ones[0], n + 1)):
-            k = ones[0]
+            k = min(ones[0], n + 1 - ones[0])
             return ("threshold", k, axiom_queries("threshold", n, k))
     return None
+
+
+def _axiom_class_of(f: TruthTable):
+    """(class_id, k, queries) of the catalogued class holding f, or None.
+    AND-isomorphic tables read as exact or threshold."""
+    if f.arity == 3 and _in_class_orbit(f, "and_or_3", 3, None):
+        return ("and_or_3", None, 2)
+    return _symmetric_axiom(f)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +156,17 @@ def _cost_arrays() -> list:
             else:
                 cand = (1 + np.maximum(s0, s1)).astype(np.uint8)
             np.minimum(best, cand, out=best)
-        amap = _axiom_orbit_map(n)
-        if amap:
-            idx = np.fromiter(amap.keys(), dtype=np.int64, count=len(amap))
-            qs = np.fromiter((v[2] for v in amap.values()), dtype=np.uint8,
-                             count=len(amap))
-            np.minimum.at(best, idx, qs)
+        # the counting classes, each over its flip orbit: the input
+        # negations of the symmetric representative and their complements
+        # make up its whole NPN orbit
+        for class_id, ks in (("exact", range(n + 1)),
+                             ("threshold", range(1, n + 1))):
+            for k in ks:
+                rep = np.array([axiom_rep_table(class_id, n, k).bits],
+                               dtype=np.uint64)
+                imgs = _flip_images(rep, n).ravel().astype(np.int64)
+                np.minimum.at(best, np.concatenate([imgs, imgs ^ (ntab - 1)]),
+                              axiom_queries(class_id, n, k))
         if n == 3:
             # the 3-bit classification: anything with at least two ones and
             # two zeros evaluates in two exact queries, whether or not the
@@ -273,8 +236,7 @@ def _cost_big(t: TruthTable) -> tuple[int, int | None]:
     if _parity_pattern(t) is not None:
         got = ((n + 1) // 2, None)
     else:
-        info = (_axiom_orbit_map(5).get(t.bits) if n == 5
-                else _symmetric_axiom(t))
+        info = _symmetric_axiom(t)
         got = (info[2], None) if info is not None else _route_search(t)
     _cost_memo[key] = got
     return got
@@ -393,58 +355,6 @@ def _nae_chain(f: TruthTable):
     return node
 
 
-def _parity_chain(n: int, invert: bool):
-    from .qprogram import parity_program
-    return parity_program(n, invert=invert)
-
-
-def _try_decompose(f: TruthTable):
-    """Split f into independent factors joined by a single AND or OR, after
-    orienting every variable positively. None when no such split exists."""
-    from .boolfun import _restrict_bits
-    n = f.arity
-    flips = 0
-    sub_full = (1 << (1 << (n - 1))) - 1
-    for i in range(n):
-        b0 = _restrict_bits(f.bits, n, i, 0)
-        b1 = _restrict_bits(f.bits, n, i, 1)
-        if b0 & ~b1 & sub_full == 0:
-            continue
-        if b1 & ~b0 & sub_full == 0:
-            flips |= 1 << i
-        else:
-            return None
-    g = f
-    for i in range(1, n + 1):
-        if (flips >> (i - 1)) & 1:
-            g = g.negate_var(i)
-    nf = g.prime_normal_forms()
-    comps = _components(nf.dnf_terms, n)
-    if len(comps) > 1:
-        op, fill = "or", 0
-    else:
-        comps = _components(nf.cnf_clauses, n)
-        if len(comps) > 1:
-            op, fill = "and", 1
-        else:
-            return None
-    parts = []
-    for comp in comps:
-        sub = g
-        for i in range(n, 0, -1):
-            if i not in comp:
-                sub = sub.restrict(i, fill)
-        parts.append((tuple(sorted(comp)), sub))
-    return op, parts, flips
-
-
-def _axiom_class_of(f: TruthTable):
-    n = f.arity
-    if n <= 5:
-        return _axiom_orbit_map(n).get(f.bits)
-    return _symmetric_axiom(f)
-
-
 _build_memo: dict[tuple[int, int], tuple] = {}
 
 
@@ -489,7 +399,7 @@ def _build_impl(f: TruthTable, rules: list):
         assert c == (n + 1) // 2
         _note(rules, RuleUse("R3", "paired xor queries for a parity pattern",
                              CITE_XOR_GADGET))
-        return _parity_chain(n, bool(inv))
+        return parity_program(n, invert=bool(inv))
     if _nae_pattern(f) is not None and c == n - 1:
         _note(rules, RuleUse("R3", "neighbour xor chain for an "
                              "equality-to-pattern test", CITE_XOR_GADGET))
@@ -500,25 +410,28 @@ def _build_impl(f: TruthTable, rules: list):
         route = next((idx for idx, r in enumerate(_queries_in_order(n))
                       if _cost_of(_residual(f, r, 0)) < c
                       and _cost_of(_residual(f, r, 1)) < c), None)
-    info = _axiom_class_of(f)
-    if info is not None and info[2] == c and route is None:
-        class_id, k, q = info
-        rule = "R4" if class_id == "and_or_3" else "R3"
-        _note(rules, RuleUse(rule, "known exact algorithm for the %s class"
-                             % class_id, axiom_citation(class_id)))
-        return AxiomLeaf(class_id, tuple(range(1, n + 1)), q,
-                         axiom_citation(class_id), k)
-    if n == 3 and route is None:
-        # not in any catalogued orbit yet cheaper than every one-query
-        # continuation: the 3-bit classification guarantees two queries
-        assert c == 2
-        _note(rules, RuleUse("R4", "certified two-query family: 3-bit "
-                             "functions not isomorphic to AND_3",
-                             CITE_THREE_BIT))
-        return AxiomLeaf("three_bit", (1, 2, 3), 2, CITE_THREE_BIT)
-    split = _try_decompose(f)
+    if route is None:
+        info = _axiom_class_of(f)
+        if info is not None and info[2] == c:
+            class_id, k, q = info
+            rule = "R4" if class_id == "and_or_3" else "R3"
+            _note(rules, RuleUse(rule, "known exact algorithm for the %s "
+                                 "class" % class_id, axiom_citation(class_id)))
+            return AxiomLeaf(class_id, tuple(range(1, n + 1)), q,
+                             axiom_citation(class_id), k)
+        if n == 3:
+            # not in any catalogued orbit yet cheaper than every one-query
+            # continuation: the 3-bit classification guarantees two queries
+            assert c == 2
+            _note(rules, RuleUse("R4", "certified two-query family: 3-bit "
+                                 "functions not isomorphic to AND_3",
+                                 CITE_THREE_BIT))
+            return AxiomLeaf("three_bit", (1, 2, 3), 2, CITE_THREE_BIT)
+    unate = _unate(f)
+    split = _split(unate[0]) if unate is not None else None
     if split is not None:
-        op, parts, flips = split
+        op, parts = split
+        flips = unate[1]
         part_rules: list = []
         trees = []
         for comp, sub in parts:
@@ -571,8 +484,7 @@ def _known_lower_bound(f: TruthTable) -> int:
         return 0
     t, _ = f.drop_dead()
     lb = max(1, (t.degree() + 1) // 2)
-    if t.is_and_isomorphic():
-        lb = max(lb, t.arity)
+    # AND-isomorphic tables fall in exact(n, 0), which costs n
     info = _axiom_class_of(t)
     if info is not None:
         lb = max(lb, info[2])
@@ -833,12 +745,22 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             failures.append("program reads variables beyond arity %d"
                             % f.arity)
         level = classify_level(prog)
-    except (TypeError, RuntimeError) as e:
+    except (TypeError, ValueError, RuntimeError) as e:
         return VerificationReport(False, cert.level, ("malformed program: %s"
                                                       % e,))
     if level != cert.level:
         failures.append("program is %s, certificate says %s"
                         % (level, cert.level))
+    if cert.optimal:
+        try:
+            lb = _known_lower_bound(f)
+        except ValueError as e:  # the degree is computed up to arity 20
+            failures.append("cannot check the optimality claim: %s" % e)
+        else:
+            if cert.claimed_queries > lb:
+                failures.append("certificate claims optimality, but %d "
+                                "queries exceed the known lower bound %d"
+                                % (cert.claimed_queries, lb))
     sim = None
     if failures:
         return VerificationReport(False, level, tuple(failures))
@@ -874,7 +796,10 @@ def _table_to_json(f: TruthTable) -> dict:
 
 def _table_from_json(obj) -> TruthTable:
     from .boolfun import parse_function
-    f = parse_function(obj["table"])
+    text = obj["table"]
+    if not isinstance(text, str):
+        raise ValueError("function table must be a string")
+    f = parse_function(text)
     n = _json_int(obj["arity"], "function arity")
     if f.arity != n:
         if f.arity > n:

@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, output shapes, file handling."""
 
+import copy
+import functools
 import hashlib
 import importlib
 import json
@@ -12,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import querysynth
 from querysynth import cli
@@ -19,7 +23,8 @@ from querysynth.boolfun import TruthTable, table_and, table_exact, table_parity
 from querysynth.qprogram import (Output, elaborate_xor, parity_program,
                                  program_to_json)
 from querysynth.synth import (VerificationReport, certificate_from_json,
-                              certificate_to_json, synthesize)
+                              certificate_to_json, synthesize,
+                              verify_certificate)
 
 
 def run_cli(capsys, *argv):
@@ -324,6 +329,117 @@ def test_simulate_rejects_non_integer_fields(tmp_path, capsys, field, value):
     assert rc == 2 and out == ""
     assert err.startswith("error: not a valid certificate file:")
     assert err.count("\n") == 1
+
+
+def _bad_program(case):
+    """A certificate whose program loads but cannot be simulated."""
+    obj = _ub_certificate()
+    block = obj["program"]
+    if case == "non-unitary block":
+        block["matrices"][0]["rows"][0][0] = [2, 0]
+    elif case == "label beyond arity":
+        block["labels"][0] = 3
+    elif case == "var beyond arity":
+        obj = certificate_to_json(synthesize(table_parity(2)))
+        obj["program"]["j"] = 3
+    elif case == "empty block":
+        obj["program"] = {"kind": "ub", "labels": [], "children": [],
+                          "matrices": [{"normExp": 0, "rows": []}]}
+    else:  # the scale 2**100000 overflows a float
+        block["matrices"][0]["normExp"] = -100000
+    return obj
+
+
+BAD_PROGRAMS = ("non-unitary block", "label beyond arity", "var beyond arity",
+                "empty block", "huge scale")
+
+
+@pytest.mark.parametrize("case", BAD_PROGRAMS)
+def test_simulate_rejects_unsimulatable_programs(tmp_path, capsys, case):
+    obj = _bad_program(case)
+    rc, out, err = run_cli(capsys, "simulate", _write(tmp_path, "c.json", obj))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot simulate") and err.count("\n") == 1
+    rep = verify_certificate(certificate_from_json(obj))
+    assert not rep.ok and rep.failures
+
+
+@pytest.mark.parametrize("case", ["entry beyond float range", "string entry",
+                                  "table not a string"])
+def test_simulate_rejects_malformed_values(tmp_path, capsys, case):
+    obj = _ub_certificate()
+    rows = obj["program"]["matrices"][0]["rows"]
+    if case == "entry beyond float range":
+        rows[0][0] = [10 ** 400, 0]
+    elif case == "string entry":
+        rows[0][0] = ["0.5", 0]
+    else:
+        obj["function"]["table"] = [":"]
+    with pytest.raises(ValueError):
+        certificate_from_json(obj)
+    rc, out, err = run_cli(capsys, "simulate", _write(tmp_path, "c.json", obj))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: not a valid certificate file:")
+    assert err.count("\n") == 1
+
+
+@functools.cache
+def _fuzz_bases():
+    """Valid certificate documents, one per program node kind and level."""
+    return [certificate_to_json(synthesize(f))
+            for f in (table_and(2), table_parity(3), table_exact(4, 2),
+                      TruthTable(3, 0x19))] + [_ub_certificate()]
+
+# values of every JSON type, integers out of every range the loaders
+# check, and integers beyond float range
+_ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.floats(),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.sampled_from([0, -1, 2, 13, -100000, 100000, 10 ** 400, -10 ** 400]),
+    st.just([]), st.just({}), st.just([[1, 0]]))
+
+
+def _slots(doc, path=()):
+    """(container path, key) of every value in a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield path, key
+        yield from _slots(value, path + (key,))
+
+
+@st.composite
+def mutated_certificates(draw):
+    """A valid certificate with one to three keys dropped or values
+    replaced by a value of another type or range."""
+    bases = _fuzz_bases()
+    doc = copy.deepcopy(bases[draw(st.integers(0, len(bases) - 1))])
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        path, key = draw(st.sampled_from(slots))
+        node = doc
+        for step in path:
+            node = node[step]
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            # a copy: a later mutation may edit inside the new value
+            node[key] = copy.deepcopy(draw(_ODD_VALUES))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=mutated_certificates())
+def test_simulate_survives_mutated_certificates(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", str(path)]) in (0, 1, 2)
 
 
 def test_simulate_deeply_nested_certificate(tmp_path, capsys):

@@ -8,6 +8,9 @@ import pytest
 from querysynth.boolfun import TruthTable, table_and, table_nae, table_parity
 from querysynth.qprogram import (
     CITE_AND_OR,
+    CITE_AND_OR_3,
+    CITE_EXACT_THRESHOLD,
+    CITE_THREE_BIT,
     EPSILON,
     AxiomLeaf,
     ClassicalQuery,
@@ -19,7 +22,6 @@ from querysynth.qprogram import (
     axiom_citation,
     axiom_queries,
     axiom_rep_table,
-    axiom_table,
     classify_level,
     collect_axioms,
     elaborate_xor,
@@ -498,18 +500,15 @@ def test_axiom_rep_tables():
         axiom_rep_table("three_bit", 3)  # a family, no single representative
 
 
-def test_axiom_table_contents():
-    rows = axiom_table(3)
-    ids = {(r[0], r[1], r[2]) for r in rows}
-    assert ("and_or_3", 3, None) in ids
-    assert ("three_bit", 3, None) in ids
-    assert ("exact", 3, 1) in ids
-    assert ("threshold", 2, 2) in ids
-    for class_id, n, k, queries, citation in rows:
-        assert queries == axiom_queries(class_id, n, k)
-        assert citation == axiom_citation(class_id)
-    # below arity 3 the two special classes do not appear
-    assert all(r[0] not in ("and_or_3", "three_bit") for r in axiom_table(2))
+def test_axiom_citations():
+    # each class cites the paper that proves its query count
+    assert axiom_citation("exact") == CITE_EXACT_THRESHOLD
+    assert axiom_citation("threshold") == CITE_EXACT_THRESHOLD
+    assert axiom_citation("and") == axiom_citation("or") == CITE_AND_OR
+    assert axiom_citation("and_or_3") == CITE_AND_OR_3
+    assert axiom_citation("three_bit") == CITE_THREE_BIT
+    with pytest.raises(ValueError):
+        axiom_citation("mystery")
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ from querysynth.boolfun import (
     table_threshold,
 )
 from querysynth import synth
-from querysynth.qprogram import (AxiomLeaf, axiom_citation, axiom_queries,
-                                 axiom_rep_table, collect_axioms)
+from querysynth.qprogram import (AxiomLeaf, Output, axiom_citation,
+                                 axiom_queries, axiom_rep_table,
+                                 collect_axioms)
 from querysynth.synth import (
     _in_class_orbit,
     Certificate,
@@ -294,6 +295,22 @@ def test_tampered_claim_is_rejected():
     assert not rep.ok
 
 
+def test_false_optimal_claim_is_rejected():
+    obj = certificate_to_json(synthesize(TruthTable(3, 0x18)))
+    assert obj["claimedQueries"] == 2 and obj["optimal"] is False
+    assert verify_certificate(certificate_from_json(obj)).ok
+    obj["optimal"] = True  # degree 2 only bounds the count below by 1
+    rep = verify_certificate(certificate_from_json(obj))
+    assert not rep.ok
+    assert any("lower bound 1" in x for x in rep.failures)
+    # above arity 20 no lower bound is computed, so the claim fails
+    wide = Certificate(TruthTable(21, 0b110), Output(1), 0, "ClassicalOnly",
+                       (), True)
+    rep = verify_certificate(wide)
+    assert not rep.ok
+    assert any("cannot check the optimality claim" in x for x in rep.failures)
+
+
 def test_tampered_function_is_rejected():
     good = synthesize(table_exact(4, 2))
     flip = TruthTable(4, good.function.bits ^ 1)
@@ -311,6 +328,14 @@ def test_tampered_axiom_count_is_rejected():
     rep = verify_certificate(bad)
     assert not rep.ok
     assert any("formula" in x for x in rep.failures)
+
+
+def test_tampered_axiom_citation_is_rejected():
+    leaf = AxiomLeaf("exact", (1, 2, 3, 4), 2, axiom_citation("and"), 2)
+    bad = Certificate(table_exact(4, 2), leaf, 2, "CountCertified", (), False)
+    rep = verify_certificate(bad)
+    assert not rep.ok
+    assert any("mismatched citation" in x for x in rep.failures)
 
 
 def test_certificate_exact73_verifies():
@@ -344,6 +369,56 @@ def test_leaf_membership_matches_orbits_exhaustive_small():
             g = TruthTable(n, bits)
             accepted = {c for c in orbits if _in_class_orbit(g, c[0], n, c[1])}
             assert accepted == {c for c, orb in orbits.items() if bits in orb}
+
+
+def _catalogue_by_canon(n):
+    """NPN canonical form -> (class_id, least k, queries) for each
+    catalogued class at arity n, read off the class representatives."""
+    out = {}
+    for class_id, k in _catalogued_classes(n):  # k ascending per class
+        canon = axiom_rep_table(class_id, n, k).npn_canonical()[0].bits
+        q = axiom_queries(class_id, n, k)
+        assert out.setdefault(canon, (class_id, k, q))[2] == q
+    return out
+
+
+def _check_axiom_class(t, catalogue):
+    want = catalogue.get(t.npn_canonical()[0].bits)
+    got = synth._axiom_class_of(t)
+    assert (got is None) == (want is None), (t, got, want)
+    if want is not None:
+        assert got[2] == want[2], (t, got, want)
+        # the AND orbit also reads as exact(n, 0) or threshold(n, 1)
+        if not t.is_and_isomorphic():
+            assert got == want, (t, got, want)
+
+
+def test_axiom_class_matches_canonical_form_oracle_exhaustive_small():
+    for n in (1, 2, 3, 4):
+        catalogue = _catalogue_by_canon(n)
+        # NPN maps keep the number of ones up to complement, so only
+        # tables of a representative's weight need a canonical form
+        weights = {axiom_rep_table(c, n, k).popcount()
+                   for c, k in _catalogued_classes(n)}
+        weights |= {(1 << n) - w for w in weights}
+        for bits in range(1 << (1 << n)):
+            t = TruthTable(n, bits)
+            if t.popcount() in weights:
+                _check_axiom_class(t, catalogue)
+            else:
+                assert synth._axiom_class_of(t) is None, t
+
+
+def test_axiom_class_matches_canonical_form_oracle_n5():
+    rng = random.Random(1302)
+    catalogue = _catalogue_by_canon(5)
+    for class_id, k in _catalogued_classes(5):
+        rep = axiom_rep_table(class_id, 5, k)
+        for _ in range(4):
+            img = _random_npn(rng, 5).apply(rep)
+            _check_axiom_class(img, catalogue)
+            near = TruthTable(5, img.bits ^ (1 << rng.randrange(32)))
+            _check_axiom_class(near, catalogue)
 
 
 @settings(max_examples=60, deadline=None)
