@@ -7,6 +7,7 @@ variable x_i (so x_1 is the least-significant bit of the code).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -37,16 +38,10 @@ NPN_MAX_ARITY = 6
 # ---------------------------------------------------------------------------
 # cached per-arity bit masks
 
-_var_masks_cache: dict[int, list[int]] = {}
-_weight_masks_cache: dict[int, list[int]] = {}
-_popcnt_cache: dict[int, np.ndarray] = {}
 
-
+@functools.cache
 def _var_masks(n: int) -> list[int]:
     """masks[p] has bit m set iff bit p of m is 1, over all m < 2**n."""
-    got = _var_masks_cache.get(n)
-    if got is not None:
-        return got
     size = 1 << n
     masks = []
     for p in range(n):
@@ -57,13 +52,10 @@ def _var_masks(n: int) -> list[int]:
             seg |= seg << period
             period <<= 1
         masks.append(seg)
-    _var_masks_cache[n] = masks
     return masks
 
 
-_swap_masks_cache: dict[int, list[tuple[int, int, int, int]]] = {}
-
-
+@functools.cache
 def _swap_masks(n: int) -> list[tuple[int, int, int, int]]:
     """For q = 2..n: (mask, shift) pairs testing x_1 <-> x_q and
     x_1 <-> not x_q.
@@ -72,9 +64,6 @@ def _swap_masks(n: int) -> list[tuple[int, int, int, int]]:
     2**(q-1) - 1; swapping x_1 with not x_q moves the codes with
     x_1 = x_q = 0 up by 2**(q-1) + 1. Every other code is fixed.
     """
-    got = _swap_masks_cache.get(n)
-    if got is not None:
-        return got
     masks = _var_masks(n)
     full = (1 << (1 << n)) - 1
     got = []
@@ -82,25 +71,18 @@ def _swap_masks(n: int) -> list[tuple[int, int, int, int]]:
         blk = 1 << p
         got.append((masks[0] & ~masks[p], blk - 1,
                     full ^ (masks[0] | masks[p]), blk + 1))
-    _swap_masks_cache[n] = got
     return got
 
 
+@functools.cache
 def _popcnt(n: int) -> np.ndarray:
-    got = _popcnt_cache.get(n)
-    if got is None:
-        got = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.uint8)
-        _popcnt_cache[n] = got
-    return got
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.uint8)
 
 
+@functools.cache
 def _weight_masks(n: int) -> list[int]:
-    got = _weight_masks_cache.get(n)
-    if got is None:
-        pc = _popcnt(n)
-        got = [_pack_values((pc == w).astype(np.uint8)) for w in range(n + 1)]
-        _weight_masks_cache[n] = got
-    return got
+    pc = _popcnt(n)
+    return [_pack_values((pc == w).astype(np.uint8)) for w in range(n + 1)]
 
 
 def _unpack_values(bits: int, n: int) -> np.ndarray:
@@ -192,14 +174,9 @@ class NpnTransform:
         return NpnTransform(tuple(inv), flips, self.negate_output)
 
 
-_perm_codes_cache: dict[int, tuple[list[tuple[int, ...]], np.ndarray]] = {}
-
-
+@functools.cache
 def _perm_codes(n: int):
     """All n! permutations with their code-permutation arrays."""
-    got = _perm_codes_cache.get(n)
-    if got is not None:
-        return got
     size = 1 << n
     bm = ((np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
     pows = (1 << np.arange(n)).astype(np.int64)
@@ -207,9 +184,7 @@ def _perm_codes(n: int):
     codes = np.empty((len(perms), size), dtype=np.int64)
     for t, perm in enumerate(perms):
         codes[t] = bm[:, list(perm)] @ pows
-    got = (perms, codes)
-    _perm_codes_cache[n] = got
-    return got
+    return perms, codes
 
 
 def _pack_msb_first(values: np.ndarray) -> np.ndarray:
@@ -612,27 +587,27 @@ def _moebius(values: np.ndarray, dtype=np.int64) -> np.ndarray:
 
 # arities whose degrees come from a table of all 2**(2**n) functions
 _DEGREE_TABLE_MAX_ARITY = 4
-_degree_tables: dict[int, bytes] = {}
+
+
+@functools.cache
+def _degree_table(n: int) -> bytes:
+    """Byte t is the degree of the arity-n table with bits t."""
+    size = 1 << n
+    tables = np.arange(1 << size, dtype=np.uint32)
+    values = np.empty((size, tables.size), dtype=np.int8)
+    for m in range(size):
+        values[m] = (tables >> m) & 1
+    degrees = np.zeros(tables.size, dtype=np.uint8)
+    # coefficients lie in [-2**(n-1), 2**(n-1)]
+    for s, row in enumerate(_moebius(values, np.int8)):
+        np.maximum(degrees, (row != 0) * np.uint8(s.bit_count()), out=degrees)
+    return degrees.tobytes()
 
 
 def _table_degree(bits: int, n: int) -> int:
     """Degree of the multilinear polynomial of the arity-n table `bits`."""
     if n <= _DEGREE_TABLE_MAX_ARITY:
-        got = _degree_tables.get(n)
-        if got is None:
-            size = 1 << n
-            tables = np.arange(1 << size, dtype=np.uint32)
-            values = np.empty((size, tables.size), dtype=np.int8)
-            for m in range(size):
-                values[m] = (tables >> m) & 1
-            degrees = np.zeros(tables.size, dtype=np.uint8)
-            # coefficients lie in [-2**(n-1), 2**(n-1)]
-            for s, row in enumerate(_moebius(values, np.int8)):
-                np.maximum(degrees, (row != 0) * np.uint8(s.bit_count()),
-                           out=degrees)
-            got = degrees.tobytes()
-            _degree_tables[n] = got
-        return got[bits]
+        return _degree_table(n)[bits]
     weights = _popcnt(n)[_moebius(_unpack_values(bits, n)) != 0]
     return int(weights.max()) if weights.size else 0
 
@@ -733,6 +708,9 @@ def table_threshold(n: int, k: int) -> TruthTable:
 
 def parse_function(text: str) -> TruthTable:
     """Parse bin:/hex:/profile:/formula: function descriptions."""
+    if not isinstance(text, str):
+        raise ValueError("function must be a string, got %s"
+                         % type(text).__name__)
     if ":" not in text:
         raise ValueError(
             "function must use one of the prefixes bin:, hex:, profile:, formula:")

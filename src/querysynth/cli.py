@@ -65,7 +65,7 @@ def cmd_analyze(args) -> int:
     payload = {
         "schema": 1,
         "kind": "analysis",
-        "function": f.to_hex_text() if n >= 2 else f.to_bin_text(),
+        "function": f.to_hex_text(),
         "arity": n,
         "popcount": f.popcount(),
         "symmetricProfile": None if profile is None else list(profile),
@@ -81,9 +81,7 @@ def cmd_analyze(args) -> int:
             read_once = to_text(fml)
     payload["readOnce"] = read_once
     if n <= NPN_MAX_ARITY:
-        canon = f.npn_canonical()[0]
-        payload["npnCanonical"] = (canon.to_hex_text() if n >= 2
-                                   else canon.to_bin_text())
+        payload["npnCanonical"] = f.npn_canonical()[0].to_hex_text()
     else:
         payload["npnCanonical"] = None
     payload["andIsomorphic"] = f.is_and_isomorphic()
@@ -133,8 +131,7 @@ def cmd_synth(args) -> int:
         if use.rule not in rules:
             rules.append(use.rule)
     summary = "%s: %d queries, %s%s; rules %s" % (
-        f.to_hex_text() if f.arity >= 2 else f.to_bin_text(),
-        cert.claimed_queries, cert.level,
+        f.to_hex_text(), cert.claimed_queries, cert.level,
         ", optimal" if cert.optimal else "", "+".join(rules) or "-")
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -193,7 +190,7 @@ def _simulate_file(args) -> int:
     payload = {
         "schema": 1,
         "kind": "simulation",
-        "function": f.to_hex_text() if f.arity >= 2 else f.to_bin_text(),
+        "function": f.to_hex_text(),
         "report": rep.to_json(),
     }
     human = [

@@ -267,14 +267,22 @@ def parity_program(n: int, invert: bool = False):
     return fold(1, 0)
 
 
-def nae_program(n: int, invert: bool = False):
-    """Not-all-equal via the chain of neighbour xors, n-1 queries."""
+def nae_program(n: int, invert: bool = False, anchor: int = 0):
+    """Not-all-equal via the chain of neighbour xors, n-1 queries: 0 on
+    the input code `anchor` and its complement, 1 elsewhere (the other
+    way round with `invert`)."""
     if n < 2:
         raise ValueError("not-all-equal needs arity >= 2")
+    if not 0 <= anchor < 1 << n:
+        raise ValueError("anchor %d out of range for arity %d" % (anchor, n))
     hit = Output(0 if invert else 1)
     node = Output(1 if invert else 0)
     for t in range(n - 1, 0, -1):
-        node = XorQuery(t, t + 1, node, hit)
+        # the chain continues while x_t xor x_(t+1) matches the anchor
+        if ((anchor >> (t - 1)) ^ (anchor >> t)) & 1:
+            node = XorQuery(t, t + 1, hit, node)
+        else:
+            node = XorQuery(t, t + 1, node, hit)
     return node
 
 

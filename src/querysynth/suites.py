@@ -9,6 +9,7 @@ records that serialize to JSON for the command line.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -100,23 +101,26 @@ class _Recorder:
                            time.perf_counter() - t0, extras or {})
 
 
+def _pool_map(fn, args, jobs):
+    """[fn(a) for a in args], over `jobs` forked workers when jobs > 1."""
+    if jobs <= 1:
+        return [fn(a) for a in args]
+    with get_context("fork").Pool(jobs) as pool:
+        return pool.map(fn, args)
+
+
 # ---------------------------------------------------------------------------
 # AND-isomorphism orbits, computed by group closure rather than by the
 # one-point criterion, so the two classifications can check each other
 
 
-_orbit_cache: dict[int, frozenset] = {}
-
-
+@functools.cache
 def and_orbit(n: int) -> frozenset:
     """Table integers of every function NPN-equivalent to AND_n.
 
     Breadth-first closure under the group generators: adjacent variable
     swaps, single-input negations, output negation.
     """
-    got = _orbit_cache.get(n)
-    if got is not None:
-        return got
     gens = []
     for i in range(n - 1):
         perm = list(range(n))
@@ -134,9 +138,7 @@ def and_orbit(n: int) -> frozenset:
             if img.bits not in seen:
                 seen.add(img.bits)
                 frontier.append(img)
-    got = frozenset(seen)
-    _orbit_cache[n] = got
-    return got
+    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +390,7 @@ def _sweep4_chunk(bounds):
             mono += 1
             if c == 4:
                 mono_four.append(bits)
-    return lo, counts, levels, good, failures, mono, mono_four
+    return counts, levels, good, failures, mono, mono_four
 
 
 def suite_sweep4(max_n=None, seed=0, jobs=1) -> SuiteReport:
@@ -405,17 +407,12 @@ def suite_sweep4(max_n=None, seed=0, jobs=1) -> SuiteReport:
     synth._cost_arrays()
     and_orbit(4)
     bounds = [(lo, min(lo + 1024, 65536)) for lo in range(0, 65536, 1024)]
-    if jobs > 1:
-        with get_context("fork").Pool(jobs) as pool:
-            parts = pool.map(_sweep4_chunk, bounds)
-    else:
-        parts = [_sweep4_chunk(b) for b in bounds]
-    parts.sort(key=lambda p: p[0])
+    parts = _pool_map(_sweep4_chunk, bounds, jobs)
     counts = [0] * 5
     levels = {}
     mono = 0
     mono_four = []
-    for _, cc, lv, good, fails, mc, mf in parts:
+    for cc, lv, good, fails, mc, mf in parts:
         for i, v in enumerate(cc):
             counts[i] += v
         for k, v in lv.items():
@@ -692,7 +689,7 @@ def _sample5_chunk(args):
             findings.append("%s: %d queries but AND-isomorphic=%s"
                             % (t.to_hex_text(), cert.claimed_queries,
                                bits in iso5))
-    return seed, checked, findings
+    return checked, findings
 
 
 def suite_sample5(max_n=None, seed=0, jobs=1) -> SuiteReport:
@@ -709,14 +706,9 @@ def suite_sample5(max_n=None, seed=0, jobs=1) -> SuiteReport:
     samples = 600
     chunk = 100
     args = [(seed * 65537 + i, chunk) for i in range(samples // chunk)]
-    if jobs > 1:
-        with get_context("fork").Pool(jobs) as pool:
-            parts = pool.map(_sample5_chunk, args)
-    else:
-        parts = [_sample5_chunk(a) for a in args]
-    parts.sort(key=lambda p: p[0])
+    parts = _pool_map(_sample5_chunk, args, jobs)
     findings = []
-    for _, cc, ff in parts:
+    for cc, ff in parts:
         rec.checked += cc
         rec.passed += cc
         findings.extend(ff)

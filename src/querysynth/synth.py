@@ -29,9 +29,9 @@ from .formula import _split, _unate
 from .qprogram import (AxiomLeaf, ClassicalQuery, Output, UnitaryBlock,
                        XorQuery, axiom_citation, axiom_queries,
                        axiom_rep_table, classify_level, collect_axioms,
-                       _json_int, max_var, parity_program, program_from_json,
-                       program_to_json, query_cost, simulate, CITE_AND_OR,
-                       CITE_THREE_BIT)
+                       _json_int, max_var, nae_program, parity_program,
+                       program_from_json, program_to_json, query_cost,
+                       simulate, CITE_AND_OR, CITE_THREE_BIT)
 
 __all__ = [
     "ENGINE_ARRAY_MAX",
@@ -116,13 +116,8 @@ def _residual(f: TruthTable, route: tuple, b: int) -> TruthTable:
     return f.substitute_xor(route[1], route[2], b)
 
 
-_cost_arrays_cache: list | None = None
-
-
+@functools.cache
 def _cost_arrays() -> list:
-    global _cost_arrays_cache
-    if _cost_arrays_cache is not None:
-        return _cost_arrays_cache
     costs = [np.zeros(2, dtype=np.uint8)]
     for n in range(1, ENGINE_ARRAY_MAX + 1):
         size = 1 << n
@@ -176,7 +171,6 @@ def _cost_arrays() -> list:
             np.minimum(best, np.where(general, 2, 255).astype(np.uint8),
                        out=best)
         costs.append(best)
-    _cost_arrays_cache = costs
     return costs
 
 
@@ -343,35 +337,22 @@ def _and_iso_chain(f: TruthTable) -> ClassicalQuery:
     return node
 
 
-def _nae_chain(f: TruthTable):
-    anchor, match = _nae_pattern(f)
-    n = f.arity
-    node = Output(match)
-    miss = Output(1 - match)
-    for t in range(n - 1, 0, -1):
-        exp = ((anchor >> (t - 1)) ^ (anchor >> t)) & 1
-        node = XorQuery(t, t + 1, node if exp == 0 else miss,
-                        node if exp == 1 else miss)
-    return node
-
-
-_build_memo: dict[tuple[int, int], tuple] = {}
+@functools.cache
+def _build_small(n: int, bits: int) -> tuple:
+    """(tree, rules) of an arity <= 3 table: small residuals recur across
+    many functions."""
+    rules: list = []
+    tree = _build_impl(TruthTable(n, bits), rules)
+    return tree, tuple(rules)
 
 
 def _build(f: TruthTable, rules: list):
-    """Memoized wrapper: small residuals recur across many functions."""
-    if f.arity <= 3:
-        key = (f.arity, f.bits)
-        got = _build_memo.get(key)
-        if got is None:
-            local: list = []
-            tree = _build_impl(f, local)
-            got = (tree, tuple(local))
-            _build_memo[key] = got
-        for use in got[1]:
-            _note(rules, use)
-        return got[0]
-    return _build_impl(f, rules)
+    if f.arity > 3:
+        return _build_impl(f, rules)
+    tree, used = _build_small(f.arity, f.bits)
+    for use in used:
+        _note(rules, use)
+    return tree
 
 
 def _build_impl(f: TruthTable, rules: list):
@@ -400,10 +381,12 @@ def _build_impl(f: TruthTable, rules: list):
         _note(rules, RuleUse("R3", "paired xor queries for a parity pattern",
                              CITE_XOR_GADGET))
         return parity_program(n, invert=bool(inv))
-    if _nae_pattern(f) is not None and c == n - 1:
+    nae = _nae_pattern(f)
+    if nae is not None and c == n - 1:
         _note(rules, RuleUse("R3", "neighbour xor chain for an "
                              "equality-to-pattern test", CITE_XOR_GADGET))
-        return _nae_chain(f)
+        anchor, match = nae
+        return nae_program(n, bool(match), anchor)
     if route is None:
         # no witness from the engine: the first route in the shared order
         # whose residuals both fit in c - 1 queries, if any
@@ -692,9 +675,7 @@ def _audit(node, state: _PathState, path: str, failures: list):
     failures.append("unknown node type at %s" % path)
 
 
-_class_images_cache: dict = {}
-
-
+@functools.cache
 def _class_images(class_id: str, n: int, k):
     """(by_profile, images) for one catalogued class.
 
@@ -704,23 +685,17 @@ def _class_images(class_id: str, n: int, k):
     image, built from all 2 * 2**n * n! transforms; and_or_3 is the only
     such class, at n = 3.
     """
-    key = (class_id, n, k)
-    got = _class_images_cache.get(key)
-    if got is None:
-        rep = axiom_rep_table(class_id, n, k)
-        profile = rep.symmetric_profile()
-        if profile is None:
-            images = frozenset(
-                NpnTransform(perm, flips, neg).apply(rep).bits
-                for perm in itertools.permutations(range(n))
-                for flips in range(1 << n) for neg in (0, 1))
-        else:
-            images = frozenset(tuple(b ^ neg for b in p)
-                               for p in (profile, profile[::-1])
-                               for neg in (0, 1))
-        got = (profile is not None, images)
-        _class_images_cache[key] = got
-    return got
+    rep = axiom_rep_table(class_id, n, k)
+    profile = rep.symmetric_profile()
+    if profile is None:
+        images = frozenset(NpnTransform(perm, flips, neg).apply(rep).bits
+                           for perm in itertools.permutations(range(n))
+                           for flips in range(1 << n) for neg in (0, 1))
+    else:
+        images = frozenset(tuple(b ^ neg for b in p)
+                           for p in (profile, profile[::-1])
+                           for neg in (0, 1))
+    return profile is not None, images
 
 
 def _in_class_orbit(g: TruthTable, class_id: str, n: int, k) -> bool:
@@ -796,10 +771,7 @@ def _table_to_json(f: TruthTable) -> dict:
 
 def _table_from_json(obj) -> TruthTable:
     from .boolfun import parse_function
-    text = obj["table"]
-    if not isinstance(text, str):
-        raise ValueError("function table must be a string")
-    f = parse_function(text)
+    f = parse_function(obj["table"])
     n = _json_int(obj["arity"], "function arity")
     if f.arity != n:
         if f.arity > n:

@@ -604,6 +604,13 @@ def test_parse_errors():
             parse_function(bad)
 
 
+@pytest.mark.parametrize("bad", [[":"], 5, None, b"hex:ff"],
+                         ids=["list", "int", "None", "bytes"])
+def test_parse_rejects_non_strings(bad):
+    with pytest.raises(ValueError, match="must be a string"):
+        parse_function(bad)
+
+
 def test_parse_caps_profile_arity_before_allocating(monkeypatch):
     from querysynth import boolfun
 

@@ -204,6 +204,22 @@ def test_simulate_certificate_file(tmp_path, capsys):
     assert "exact:                yes" in out
 
 
+def test_arity_one_function_reads_as_bin(tmp_path, capsys):
+    rc, out, _ = run_cli(capsys, "analyze", "--fn", "bin:01")
+    assert rc == 0 and "function:       bin:01" in out
+    rc, out, _ = run_cli(capsys, "analyze", "--fn", "bin:01",
+                         "--format", "json")
+    obj = json.loads(out)
+    assert rc == 0 and obj["function"] == obj["npnCanonical"] == "bin:01"
+    target = tmp_path / "cert.json"
+    rc, out, _ = run_cli(capsys, "synth", "--fn", "bin:01",
+                         "--out", str(target))
+    assert rc == 0 and out.startswith("bin:01: 1 queries")
+    assert json.loads(target.read_text())["function"]["table"] == "bin:01"
+    rc, out, _ = run_cli(capsys, "simulate", str(target), "--format", "json")
+    assert rc == 0 and json.loads(out)["function"] == "bin:01"
+
+
 def test_simulate_bare_program_needs_fn(tmp_path, capsys):
     path = _write(tmp_path, "prog.json", program_to_json(parity_program(2)))
     rc, _, err = run_cli(capsys, "simulate", path)
@@ -365,7 +381,7 @@ def test_simulate_rejects_unsimulatable_programs(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case", ["entry beyond float range", "string entry",
-                                  "table not a string"])
+                                  "table not a string", "table a number"])
 def test_simulate_rejects_malformed_values(tmp_path, capsys, case):
     obj = _ub_certificate()
     rows = obj["program"]["matrices"][0]["rows"]
@@ -373,6 +389,8 @@ def test_simulate_rejects_malformed_values(tmp_path, capsys, case):
         rows[0][0] = [10 ** 400, 0]
     elif case == "string entry":
         rows[0][0] = ["0.5", 0]
+    elif case == "table a number":
+        obj["function"]["table"] = 5
     else:
         obj["function"]["table"] = [":"]
     with pytest.raises(ValueError):

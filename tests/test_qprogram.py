@@ -179,11 +179,27 @@ def test_nae_program_costs_and_exactness():
     assert simulate(inv, table_nae(4).complement()).exact
 
 
+def test_nae_program_anchored_chain():
+    for n in range(2, 7):
+        full = (1 << (1 << n)) - 1
+        for c in range(1 << n):
+            pair = (1 << c) | (1 << (c ^ ((1 << n) - 1)))
+            for invert in (False, True):
+                prog = nae_program(n, invert, c)
+                rep = simulate(prog, TruthTable(n, pair if invert
+                                                else full ^ pair))
+                assert rep.exact and rep.queries_worst_case == n - 1, (n, c)
+                assert query_cost(prog) == n - 1
+
+
 def test_builder_guards():
     with pytest.raises(ValueError):
         parity_program(0)
     with pytest.raises(ValueError):
         nae_program(1)
+    for anchor in (-1, 8):
+        with pytest.raises(ValueError):
+            nae_program(3, anchor=anchor)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from querysynth.boolfun import NpnTransform, TruthTable
+from querysynth.boolfun import NpnTransform, TruthTable, _degree_table
 from querysynth.suites import (
     SUITES,
     SuiteReport,
@@ -18,6 +18,7 @@ from querysynth.suites import (
     and_orbit,
     run_suite,
 )
+from querysynth.synth import _cost_arrays
 
 
 def one_point_tables(n):
@@ -41,6 +42,12 @@ def test_and_orbit_matches_one_point_criterion():
 def test_and_orbit_sizes():
     assert {n: len(and_orbit(n)) for n in (2, 3, 4, 5)} == \
         {2: 8, 3: 16, 4: 32, 5: 64}
+
+
+def test_per_arity_tables_are_built_once():
+    for build in (_cost_arrays, lambda: and_orbit(4),
+                  lambda: _degree_table(4)):
+        assert build() is build()
 
 
 def test_census_is_orbit_invariant():

@@ -29,7 +29,7 @@ from querysynth.boolfun import (
 from querysynth import synth
 from querysynth.qprogram import (AxiomLeaf, Output, axiom_citation,
                                  axiom_queries, axiom_rep_table,
-                                 collect_axioms)
+                                 collect_axioms, nae_program, program_to_json)
 from querysynth.synth import (
     _in_class_orbit,
     Certificate,
@@ -228,6 +228,21 @@ def test_certificate_nae5():
     c = synthesize(table_nae(5))
     assert c.claimed_queries == 4
     assert verify_certificate(c).ok
+
+
+def test_certificate_anchored_nae_is_the_xor_chain():
+    # the tables constant exactly off one complementary pair {c, ~c}; c and
+    # ~c name the same table, so the anchors below 2**(n-1) cover them all
+    for n in (5, 6, 7):
+        full = (1 << (1 << n)) - 1
+        for c in range(1 << (n - 1)):
+            pair = (1 << c) | (1 << (c ^ ((1 << n) - 1)))
+            for invert in (False, True):
+                cert = synthesize(TruthTable(n, pair if invert
+                                             else full ^ pair))
+                assert verify_certificate(cert).ok
+                assert program_to_json(cert.program) == \
+                    program_to_json(nae_program(n, invert, c)), (n, c, invert)
 
 
 def test_certificate_and_of_or_pair():
