@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -725,10 +726,9 @@ def parse_function(text: str) -> TruthTable:
             raise ValueError("bin: length must be 2**n for some n >= 1")
         return TruthTable.from_values(int(ch) for ch in body)
     if kind == "hex":
-        try:
-            bits = int(body, 16)
-        except ValueError:
-            raise ValueError("hex: expects hexadecimal digits") from None
+        if not body or any(ch not in string.hexdigits for ch in body):
+            raise ValueError("hex: expects hexadecimal digits")
+        bits = int(body, 16)
         nbits = 4 * len(body)
         n = (nbits - 1).bit_length()
         if nbits != 1 << n:

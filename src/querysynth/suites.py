@@ -313,16 +313,21 @@ def suite_depth(max_n=None, seed=0, jobs=1) -> SuiteReport:
                           % ("".join(map(str, prof)), g, d))
     per_arity = 1000
     for n in range(4, max_n + 1):
+        # the top coefficient is the sum of (-1)**(n - |x|) f(x): the
+        # inputs in `same` have weight of n's parity
+        odd = table_parity(n).bits
+        same = odd if n & 1 else odd ^ ((1 << (1 << n)) - 1)
         for i in range(per_arity):
             population += 1
             fml = random_read_once(n, seed=seed * 1000003 + n * 4096 + i)
             t = to_table(fml, n)
-            poly = t.multilinear()
-            top = poly.coeff((1 << n) - 1)
-            ok = (poly.degree == n and top in (1, -1)
-                  and t.decision_tree_depth() == n)
-            rec.check(ok, "read-once n=%d #%d: degree %d top %d"
-                      % (n, i, poly.degree, top))
+            top = (t.bits & same).bit_count() - (t.bits & ~same).bit_count()
+            # top = +-1 gives degree n; its odd popcount lets the depth
+            # search return n without a transform
+            depth = t.decision_tree_depth()
+            rec.check(top in (1, -1) and depth == n,
+                      "read-once n=%d #%d: top %d depth %d"
+                      % (n, i, top, depth))
     rng = random.Random(seed * 7 + 19)
     drawn = 0
     for n, draws in sorted(_RANDOM_DEPTH_DRAWS.items()):

@@ -13,7 +13,8 @@ the program builder replays it instead of searching again.
 A synthesized certificate carries the program, its claimed query count,
 the rules that produced it, and enough structure for an independent
 checker (`verify_certificate`) to validate the claim by simulation or,
-when literature leaves are present, by path-constraint auditing.
+when literature leaves are present, by auditing the program over input
+sets.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfun import NpnTransform, TruthTable, _flip_images, table_parity
+from .boolfun import (NpnTransform, TruthTable, _flip_images, _restrict_bits,
+                      _var_masks, table_parity)
 from .formula import _split, _unate
 from .qprogram import (AxiomLeaf, ClassicalQuery, Output, UnitaryBlock,
                        XorQuery, axiom_citation, axiom_queries,
@@ -510,169 +512,91 @@ class VerificationReport:
         return out
 
 
-class _PathState:
-    """Residual function plus the GF(2) facts a path has established.
-
-    Every original variable is either live (a column of `table`), known
-    (a fixed bit in `consts`), or linked (equal to a live variable xor an
-    offset, in `links`). Queries on eliminated variables resolve through
-    the links, which is how xor chains stay auditable.
-    """
-
-    __slots__ = ("table", "alive", "consts", "links")
-
-    def __init__(self, table, alive, consts, links):
-        self.table = table
-        self.alive = alive
-        self.consts = consts
-        self.links = links
-
-    @classmethod
-    def initial(cls, f: TruthTable) -> "_PathState":
-        return cls(f, tuple(range(1, f.arity + 1)), {}, {})
-
-    def resolve(self, v: int):
-        """('var', live root, parity) or ('const', bit)."""
-        if v in self.consts:
-            return ("const", self.consts[v])
-        if v in self.links:
-            r, p = self.links[v]
-            return ("var", r, p)
-        return ("var", v, 0)
-
-    def fix(self, r: int, b: int) -> "_PathState":
-        """New state with live variable r pinned to b."""
-        pos = self.alive.index(r) + 1
-        consts = dict(self.consts)
-        links = {}
-        consts[r] = b
-        for v, (rr, pp) in self.links.items():
-            if rr == r:
-                consts[v] = b ^ pp
-            else:
-                links[v] = (rr, pp)
-        return _PathState(self.table.restrict(pos, b),
-                          tuple(v for v in self.alive if v != r),
-                          consts, links)
-
-    def tie(self, ra: int, rb: int, c: int) -> "_PathState":
-        """New state with live variables tied: x_ra xor x_rb = c."""
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        pl = self.alive.index(lo) + 1
-        ph = self.alive.index(hi) + 1
-        links = dict(self.links)
-        for v, (rr, pp) in links.items():
-            if rr == hi:
-                links[v] = (lo, pp ^ c)
-        links[hi] = (lo, c)
-        return _PathState(self.table.substitute_xor(pl, ph, c),
-                          tuple(v for v in self.alive if v != hi),
-                          self.consts, links)
-
-
-def _audit(node, state: _PathState, path: str, failures: list):
-    """Walk each reachable path, shrinking the residual by the path
-    constraints; outputs and axiom leaves must agree with the rebuilt
-    residual."""
+def _audit(node, inputs: int, f: TruthTable, path: str, failures: list):
+    """Walk the program over input sets, as the simulator does: `inputs`
+    holds the codes reaching `node` (never empty), and each query splits
+    it. Outputs must agree with f on their whole set."""
+    masks = _var_masks(f.arity)
     if isinstance(node, Output):
-        full = (1 << state.table.size) - 1
-        want = full if node.bit else 0
-        if state.table.bits != want:
+        if node.bit not in (0, 1):
+            failures.append("output at %s must be 0 or 1" % path)
+        elif inputs & (~f.bits if node.bit else f.bits):
             failures.append("output %d at %s disagrees with the function"
                             % (node.bit, path))
         return
     if isinstance(node, ClassicalQuery):
-        res = state.resolve(node.var)
-        if res[0] == "const":
-            child = node.child1 if res[1] else node.child0
-            _audit(child, state, "%s.child%d" % (path, res[1]), failures)
+        if node.var < 1:
+            failures.append("classical query at %s reads x%d; variables "
+                            "start at x1" % (path, node.var))
             return
-        _, r, p = res
-        _audit(node.child0, state.fix(r, p), path + ".child0", failures)
-        _audit(node.child1, state.fix(r, 1 ^ p), path + ".child1", failures)
-        return
-    if isinstance(node, XorQuery):
-        ri = state.resolve(node.i)
-        rj = state.resolve(node.j)
-        if ri[0] == "const" and rj[0] == "const":
-            out = ri[1] ^ rj[1]
-        elif ri[0] == "const" or rj[0] == "const":
-            if ri[0] == "const":
-                a, (_, r, p) = ri[1], rj
-            else:
-                a, (_, r, p) = rj[1], ri
-            for out, child in ((0, node.child0), (1, node.child1)):
-                _audit(child, state.fix(r, out ^ a ^ p),
-                       "%s.child%d" % (path, out), failures)
+        mask = masks[node.var - 1]
+    elif isinstance(node, XorQuery):
+        if node.i == node.j or node.i < 1 or node.j < 1:
+            failures.append("xor gadget at %s needs two distinct variables"
+                            % path)
             return
-        elif ri[1] == rj[1]:
-            out = ri[2] ^ rj[2]
-        else:
-            off = ri[2] ^ rj[2]
-            for out, child in ((0, node.child0), (1, node.child1)):
-                _audit(child, state.tie(ri[1], rj[1], out ^ off),
-                       "%s.child%d" % (path, out), failures)
-            return
-        child = node.child1 if out else node.child0
-        _audit(child, state, "%s.child%d" % (path, out), failures)
-        return
-    if isinstance(node, UnitaryBlock):
+        mask = masks[node.i - 1] ^ masks[node.j - 1]
+    elif isinstance(node, AxiomLeaf):
+        return _audit_leaf(node, inputs, f, path, failures)
+    else:  # query_cost has already rejected anything but a unitary block
         failures.append("not auditable: unitary block at %s inside a "
                         "count-certified program" % path)
         return
-    if isinstance(node, AxiomLeaf):
-        leaf_vars = tuple(sorted(set(node.variables)))
-        if len(leaf_vars) != len(node.variables):
-            failures.append("axiom leaf at %s repeats variables" % path)
-            return
-        roots = []
-        for v in leaf_vars:
-            res = state.resolve(v)
-            if res[0] != "var":
-                failures.append("axiom leaf at %s uses a variable the path "
-                                "already determined" % path)
-                return
-            roots.append(res[1])
-        if len(set(roots)) != len(roots):
-            failures.append("axiom leaf at %s uses variables tied together "
-                            "by the path" % path)
-            return
-        root_set = set(roots)
-        table = state.table
-        live_orig = tuple(state.alive[p - 1] for p in table.support())
-        if not set(live_orig) <= root_set:
-            failures.append("residual at %s depends on variables outside "
-                            "the axiom leaf" % path)
-            return
-        g = table
-        for p in range(table.arity, 0, -1):
-            if state.alive[p - 1] not in root_set:
-                g = g.restrict(p, 0)
-        try:
-            expect = axiom_queries(node.class_id, len(leaf_vars), node.k)
-            cite = axiom_citation(node.class_id)
-        except ValueError as e:
-            failures.append("axiom leaf at %s: %s" % (path, e))
-            return
-        if node.queries != expect:
-            failures.append("axiom leaf at %s claims %d queries, class "
-                            "formula gives %d" % (path, node.queries, expect))
-        if node.citation != cite:
-            failures.append("axiom leaf at %s carries a mismatched citation"
-                            % path)
-        if node.class_id == "three_bit":
-            # family membership instead of a single representative: any
-            # 3-bit residual with two ones and two zeros qualifies
-            ones = g.bits.bit_count()
-            if not 2 <= ones <= g.size - 2:
-                failures.append("residual at %s falls outside the certified "
-                                "two-query family" % path)
-            return
-        if not _in_class_orbit(g, node.class_id, len(leaf_vars), node.k):
-            failures.append("residual at %s is not isomorphic to the %s "
-                            "class representative" % (path, node.class_id))
+    hi = inputs & mask
+    for b, sub, child in ((0, inputs ^ hi, node.child0),
+                          (1, hi, node.child1)):
+        if sub:
+            _audit(child, sub, f, "%s.child%d" % (path, b), failures)
+
+
+def _audit_leaf(node: AxiomLeaf, inputs: int, f: TruthTable, path: str,
+                failures: list):
+    """Project f's ones and zeros on `inputs` onto the leaf's variables:
+    they must be disjoint and cover every pattern, and the ones are the
+    residual the leaf computes."""
+    leaf_vars = set(node.variables)
+    if len(leaf_vars) != len(node.variables):
+        failures.append("axiom leaf at %s repeats variables" % path)
         return
-    failures.append("unknown node type at %s" % path)
+    if min(leaf_vars) < 1:
+        failures.append("axiom leaf at %s reads x%d; variables start at x1"
+                        % (path, min(leaf_vars)))
+        return
+    parts, m = (inputs & f.bits, inputs & ~f.bits), f.arity
+    for v in range(f.arity, 0, -1):  # highest first: x_v is at bit v - 1
+        if v not in leaf_vars:  # fold x_v = 1 onto x_v = 0, then drop x_v
+            parts = tuple(_restrict_bits(t | t >> (1 << (v - 1)), m, v - 1, 0)
+                          for t in parts)
+            m -= 1
+    ones, zeros = parts
+    k = len(leaf_vars)
+    if ones | zeros != (1 << (1 << k)) - 1:
+        failures.append("axiom leaf at %s uses variables the path fixed or "
+                        "tied" % path)
+        return
+    if ones & zeros:
+        failures.append("residual at %s depends on variables outside the "
+                        "axiom leaf" % path)
+        return
+    try:
+        expect = axiom_queries(node.class_id, k, node.k)
+        cite = axiom_citation(node.class_id)
+    except ValueError as e:
+        failures.append("axiom leaf at %s: %s" % (path, e))
+        return
+    if node.queries != expect:
+        failures.append("axiom leaf at %s claims %d queries, class "
+                        "formula gives %d" % (path, node.queries, expect))
+    if node.citation != cite:
+        failures.append("axiom leaf at %s carries a mismatched citation"
+                        % path)
+    if node.class_id == "three_bit":  # a family: k = 3 and 2..6 ones
+        if not 2 <= ones.bit_count() <= 6:
+            failures.append("residual at %s falls outside the certified "
+                            "two-query family" % path)
+    elif not _in_class_orbit(TruthTable(k, ones), node.class_id, k, node.k):
+        failures.append("residual at %s is not isomorphic to the %s "
+                        "class representative" % (path, node.class_id))
 
 
 @functools.cache
@@ -740,10 +664,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     if failures:
         return VerificationReport(False, level, tuple(failures))
     if level == "CountCertified":
-        try:
-            _audit(prog, _PathState.initial(f), "program", failures)
-        except ValueError as e:
-            failures.append("audit rejected the program: %s" % e)
+        _audit(prog, (1 << f.size) - 1, f, "program", failures)
     else:
         try:
             sim = simulate(prog, f)

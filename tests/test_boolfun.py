@@ -592,6 +592,7 @@ def test_parse_round_trips():
 def test_parse_named_formats():
     assert parse_function("bin:0001").bits == table_and(2).bits
     assert parse_function("hex:8000").bits == table_and(4).bits
+    assert parse_function("hex:FF") == parse_function("hex:ff")
     assert parse_function("profile:0,1,1,0").bits == table_nae(3).bits
     f = parse_function("formula:x1&(x2|x3)")
     assert f.bits == TruthTable(3, 0b10101000).bits
@@ -599,9 +600,12 @@ def test_parse_named_formats():
 
 def test_parse_errors():
     for bad in ("nocolon", "oct:777", "bin:0a1", "bin:010",
-                "profile:0,1,2", "hex:12345", "formula:x1&&"):
-        with pytest.raises(ValueError):
+                "profile:0,1,2", "hex:12345", "formula:x1&&",
+                "hex:0x12", "hex:f_ff", "hex:+f", "hex:-f"):
+        with pytest.raises(ValueError) as err:
             parse_function(bad)
+        if bad.startswith("hex:") and bad != "hex:12345":
+            assert "hexadecimal digits" in str(err.value)
 
 
 @pytest.mark.parametrize("bad", [[":"], 5, None, b"hex:ff"],

@@ -27,9 +27,11 @@ from querysynth.boolfun import (
     table_threshold,
 )
 from querysynth import synth
-from querysynth.qprogram import (AxiomLeaf, Output, axiom_citation,
-                                 axiom_queries, axiom_rep_table,
-                                 collect_axioms, nae_program, program_to_json)
+from querysynth.qprogram import (AxiomLeaf, ClassicalQuery, Output, XorQuery,
+                                 axiom_citation, axiom_queries,
+                                 axiom_rep_table, classify_level,
+                                 collect_axioms, nae_program, program_to_json,
+                                 query_cost)
 from querysynth.synth import (
     _in_class_orbit,
     Certificate,
@@ -475,6 +477,188 @@ def test_tampered_three_bit_residual_is_rejected():
                       good.level, good.rules_used, False)
     rep = verify_certificate(bad)
     assert not rep.ok
+
+
+def test_audit_rejects_malformed_nodes_like_the_simulator():
+    # f = x4 ? and_or_3(x1, x2, x3) : 1
+    rep3 = axiom_rep_table("and_or_3", 3)
+    f = TruthTable.from_values([rep3.value(m & 7) if m >> 3 else 1
+                                for m in range(16)])
+    leaf = AxiomLeaf("and_or_3", (1, 2, 3), 2, axiom_citation("and_or_3"))
+
+    def check(prog):
+        return verify_certificate(Certificate(f, prog, query_cost(prog),
+                                              "CountCertified", (), False))
+
+    assert check(ClassicalQuery(4, Output(1), leaf)).ok
+    for prog, message in (
+            (ClassicalQuery(4, Output(2), leaf), "must be 0 or 1"),
+            (ClassicalQuery(4, Output(7), leaf), "must be 0 or 1"),
+            (ClassicalQuery(4, Output(1), XorQuery(2, 2, leaf, Output(0))),
+             "needs two distinct variables"),
+            # x0 must not read as the last variable, x4
+            (ClassicalQuery(0, Output(1), leaf), "variables start at x1"),
+            (ClassicalQuery(4, Output(1), AxiomLeaf(
+                "and_or_3", (0, 1, 2), 2, axiom_citation("and_or_3"))),
+             "variables start at x1")):
+        rep = check(prog)
+        assert not rep.ok
+        assert [x for x in rep.failures if message in x], rep.failures
+
+
+# ---------------------------------------------------------------------------
+# differential test of the audit against a per-input reference
+
+
+def _reference_leaf_ok(leaf, inputs, f):
+    """f restricted to `inputs` is a function of the leaf's variables that
+    takes every pattern of them, and lies in the leaf's class."""
+    k = len(leaf.variables)
+    residual = {}
+    for m in inputs:
+        pattern = sum(((m >> (v - 1)) & 1) << t
+                      for t, v in enumerate(leaf.variables))
+        if residual.setdefault(pattern, f.value(m)) != f.value(m):
+            return False
+    if len(residual) != 1 << k:
+        return False
+    try:
+        if (leaf.queries != axiom_queries(leaf.class_id, k, leaf.k)
+                or leaf.citation != axiom_citation(leaf.class_id)):
+            return False
+        g = TruthTable.from_values(residual[p] for p in range(1 << k))
+        if leaf.class_id == "three_bit":
+            return 2 <= g.popcount() <= 6
+        rep = axiom_rep_table(leaf.class_id, k, leaf.k)
+    except ValueError:
+        return False
+    return g.npn_canonical()[0] == rep.npn_canonical()[0]
+
+
+def _reference_audit(prog, f):
+    """Walk every input through the queries on its own, group the inputs
+    by the node they reach, and check each output and leaf on its group."""
+    groups = {}
+    for m in range(f.size):
+        node, path = prog, ()
+        while isinstance(node, (ClassicalQuery, XorQuery)):
+            if isinstance(node, ClassicalQuery):
+                b = (m >> (node.var - 1)) & 1
+            else:
+                b = ((m >> (node.i - 1)) ^ (m >> (node.j - 1))) & 1
+            node, path = (node.child1 if b else node.child0), path + (b,)
+        groups.setdefault(path, (node, []))[1].append(m)
+    for node, inputs in groups.values():
+        if isinstance(node, AxiomLeaf):
+            if not _reference_leaf_ok(node, inputs, f):
+                return False
+        elif node.bit not in (0, 1) or any(f.value(m) != node.bit
+                                           for m in inputs):
+            return False
+    return True
+
+
+def _subtrees(node, path=()):
+    yield path, node
+    if isinstance(node, (ClassicalQuery, XorQuery)):
+        yield from _subtrees(node.child0, path + (0,))
+        yield from _subtrees(node.child1, path + (1,))
+
+
+def _replace(node, path, new):
+    if not path:
+        return new
+    kids = [node.child0, node.child1]
+    kids[path[0]] = _replace(kids[path[0]], path[1:], new)
+    if isinstance(node, ClassicalQuery):
+        return ClassicalQuery(node.var, *kids)
+    return XorQuery(node.i, node.j, *kids)
+
+
+def _mutants(prog, n, rng):
+    """One seeded mutant per kind that applies: child swap, other query
+    variable, leaf variable dropped/added/repeated, a query on a leaf
+    variable above the leaf, leaf k -+ 1, and an output bit outside 0/1."""
+    nodes = list(_subtrees(prog))
+
+    def pick(kind):
+        found = [(p, nd) for p, nd in nodes if isinstance(nd, kind)]
+        return rng.choice(found) if found else (None, None)
+
+    def other(avoid):
+        return rng.choice([v for v in range(1, n + 1) if v not in avoid])
+
+    out = []
+    path, q = pick((ClassicalQuery, XorQuery))
+    if q is not None:
+        if isinstance(q, ClassicalQuery):
+            swap = ClassicalQuery(q.var, q.child1, q.child0)
+            moved = ClassicalQuery(other({q.var}), q.child0, q.child1)
+        else:
+            swap = XorQuery(q.i, q.j, q.child1, q.child0)
+            i, j = sorted((q.i, other({q.i, q.j})))
+            moved = XorQuery(i, j, q.child0, q.child1)
+        out += [_replace(prog, path, swap), _replace(prog, path, moved)]
+    path, leaf = pick(AxiomLeaf)
+    if leaf is not None:
+        vs = leaf.variables
+        variants = []
+        if len(vs) > 1:
+            variants.append(vs[:-1])
+            variants.append(vs[:-1] + vs[:1])
+        if len(vs) < n:
+            variants.append(tuple(sorted(vs + (other(set(vs)),))))
+        for new_vars in variants:
+            out.append(_replace(prog, path, AxiomLeaf(
+                leaf.class_id, new_vars, leaf.queries, leaf.citation,
+                leaf.k)))
+        # a query on a leaf variable just above the leaf fixes it
+        guard = ClassicalQuery(rng.choice(vs), leaf, leaf)
+        out.append(_replace(prog, path, guard))
+        if leaf.k is not None:
+            for dk in (-1, 1):
+                out.append(_replace(prog, path, AxiomLeaf(
+                    leaf.class_id, vs, leaf.queries, leaf.citation,
+                    leaf.k + dk)))
+    path, o = pick(Output)
+    if o is not None:
+        out.append(_replace(prog, path, Output(o.bit + 2)))
+    return out
+
+
+def _differential_population():
+    """Count-certified certificates of every 3-bit table, 500 seeded 4-bit
+    tables and a few at n=5, 6."""
+    for bits in range(256):
+        cert = synthesize(TruthTable(3, bits))
+        if cert.level == "CountCertified":
+            yield cert
+    rng = random.Random(90210)
+    for n, count in ((4, 500), (5, 30), (6, 6)):
+        found = 0
+        while found < count:
+            cert = synthesize(TruthTable(n, rng.getrandbits(1 << n)))
+            if cert.level == "CountCertified":
+                found += 1
+                yield cert
+
+
+def test_audit_matches_per_input_reference():
+    rng = random.Random(1404)
+    verdicts = collections.Counter()
+    for cert in _differential_population():
+        f, n = cert.function, cert.function.arity
+        flipped = TruthTable(n, f.bits ^ (1 << rng.randrange(f.size)))
+        cases = [(f, cert.program), (flipped, cert.program)]
+        cases += [(f, m) for m in _mutants(cert.program, n, rng)]
+        for g, prog in cases:
+            want = _reference_audit(prog, g)
+            got = verify_certificate(Certificate(
+                g, prog, query_cost(prog), classify_level(prog), (), False))
+            assert got.ok == want, (g, program_to_json(prog), got.failures)
+            verdicts[want] += 1
+    # both verdicts are well represented
+    assert verdicts[True] > 700 and verdicts[False] > 2000, verdicts
 
 
 # ---------------------------------------------------------------------------
