@@ -660,18 +660,14 @@ def symmetric_decision_depth(profile) -> int:
     profile = tuple(profile)
     if any(b not in (0, 1) for b in profile) or not profile:
         raise ValueError("profile must be a nonempty 0/1 vector")
-    memo: dict = {}
+    return _window_depth(profile)
 
-    def d(win: tuple) -> int:
-        if min(win) == max(win):
-            return 0
-        got = memo.get(win)
-        if got is None:
-            got = 1 + max(d(win[:-1]), d(win[1:]))
-            memo[win] = got
-        return got
 
-    return d(profile)
+@functools.cache
+def _window_depth(win: tuple) -> int:
+    if min(win) == max(win):
+        return 0
+    return 1 + max(_window_depth(win[:-1]), _window_depth(win[1:]))
 
 
 def table_and(n: int) -> TruthTable:

@@ -220,6 +220,8 @@ def cmd_verify(args) -> int:
             return _fail_usage("QUERYSYNTH_MAX_N must be an integer")
     if args.max_n is not None and args.max_n < 1:
         return _fail_usage("%s must be at least 1" % source)
+    if args.max_n is not None and args.max_n > ENGINE_MAX_ARITY:
+        return _fail_usage("%s must be at most %d" % (source, ENGINE_MAX_ARITY))
     if args.jobs < 1:
         return _fail_usage("--jobs must be at least 1")
     jobs = min(args.jobs, os.cpu_count() or 1)

@@ -239,7 +239,8 @@ def recognize_read_once(f: TruthTable):
     """
     n = f.arity
     if n > READ_ONCE_MAX_ARITY:
-        raise ValueError("read-once recognition supports arity <= %d" % n)
+        raise ValueError("read-once recognition supports arity <= %d"
+                         % READ_ONCE_MAX_ARITY)
     if n < 1:
         raise ValueError("read-once recognition needs arity >= 1")
     for i in range(1, n + 1):

@@ -13,6 +13,7 @@ import functools
 import itertools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
@@ -90,6 +91,12 @@ class _Recorder:
         elif len(self.failures) < FAILURE_CAP:
             self.failures.append(msg)
         return ok
+
+    def merge(self, other: "_Recorder") -> None:
+        """Add other's counts; failures stay first-come up to FAILURE_CAP."""
+        self.checked += other.checked
+        self.passed += other.passed
+        self.failures += other.failures[:FAILURE_CAP - len(self.failures)]
 
     @property
     def failed(self) -> int:
@@ -249,32 +256,22 @@ def suite_primitives(max_n=None, seed=0, jobs=1) -> SuiteReport:
                     rec.check(rep.exact and rep.queries_worst_case == 1,
                               "gadget x%d^x%d -> (%d,%d): wrong amplitude %.2e"
                               % (i, j, o0, o1, rep.worst_wrong_amplitude))
-    for n in range(1, max_n + 1):
-        for invert in (False, True):
-            population += 1
-            prog = parity_program(n, invert)
-            f = table_parity(n)
-            if invert:
-                f = TruthTable(n, f.bits ^ ((1 << f.size) - 1))
-            rep = simulate(prog, f)
-            want = (n + 1) // 2
-            rec.check(rep.exact and rep.queries_worst_case == want
-                      and query_cost(prog) == want,
-                      "parity n=%d invert=%s: exact=%s worst=%d cost=%d"
-                      % (n, invert, rep.exact, rep.queries_worst_case,
-                         query_cost(prog)))
-    for n in range(2, max_n + 1):
-        for invert in (False, True):
-            population += 1
-            prog = nae_program(n, invert)
-            f = table_nae(n)
-            if invert:
-                f = TruthTable(n, f.bits ^ ((1 << f.size) - 1))
-            rep = simulate(prog, f)
-            rec.check(rep.exact and rep.queries_worst_case == n - 1
-                      and query_cost(prog) == n - 1,
-                      "not-all-equal n=%d invert=%s: exact=%s worst=%d"
-                      % (n, invert, rep.exact, rep.queries_worst_case))
+    families = (("parity", parity_program, table_parity, 1,
+                 lambda n: (n + 1) // 2),
+                ("not-all-equal", nae_program, table_nae, 2, lambda n: n - 1))
+    for name, program, table, lo, cost in families:
+        for n in range(lo, max_n + 1):
+            for invert in (False, True):
+                population += 1
+                prog = program(n, invert)
+                f = table(n).complement() if invert else table(n)
+                rep = simulate(prog, f)
+                want, got = cost(n), query_cost(prog)
+                rec.check(rep.exact and rep.queries_worst_case == want
+                          and got == want,
+                          "%s n=%d invert=%s: exact=%s worst=%d cost=%d"
+                          % (name, n, invert, rep.exact,
+                             rep.queries_worst_case, got))
     return rec.report("primitives", population, t0)
 
 
@@ -338,7 +335,8 @@ def suite_depth(max_n=None, seed=0, jobs=1) -> SuiteReport:
             population += 1
             t = TruthTable(n, rng.getrandbits(1 << n))
             d = t.decision_tree_depth()
-            g = t.degree()
+            # no degree exceeds n, so only a depth below n needs one
+            g = t.degree() if d < n else n
             rec.check(d >= g, "random n=%d %s: depth %d < degree %d"
                       % (n, t.to_hex_text(), d, g))
     return rec.report("depth", population, t0,
@@ -365,37 +363,43 @@ def _census4():
     return best
 
 
-def _sweep4_chunk(bounds):
-    lo, hi = bounds
-    counts = [0] * 5
-    levels = {}
-    failures = []
-    good = 0
-    iso = and_orbit(4)
-    mono = 0
-    mono_four = []
-    for bits in range(lo, hi):
-        t = TruthTable(4, bits)
-        cert = synth.synthesize(t)
-        rep = synth.verify_certificate(cert)
+def _certify_chunk(args):
+    """Synthesize and verify each n-bit table, one check per table.
+
+    A table passes when its certificate verifies and it costs n queries
+    exactly when it is AND-isomorphic. Returns the recorder with the
+    tallies by query count and by level, the number of monotone tables
+    and the monotone tables that cost n.
+    """
+    n, tables = args
+    iso = and_orbit(n)
+    rec = _Recorder()
+    counts, levels = Counter(), Counter()
+    mono, mono_full = 0, []
+    for bits in tables:
+        t = TruthTable(n, bits)
+        try:
+            cert = synth.synthesize(t)
+            rep = synth.verify_certificate(cert)
+        except Exception as e:  # noqa: BLE001 - a failure line, not a crash
+            rec.check(False, "%s: synthesis raised %r" % (t.to_hex_text(), e))
+            continue
         c = cert.claimed_queries
         counts[c] += 1
-        levels[cert.level] = levels.get(cert.level, 0) + 1
-        ok = rep.ok and (c == 4) == (bits in iso)
-        if ok:
-            good += 1
-        elif len(failures) < FAILURE_CAP:
-            if not rep.ok:
-                failures.append("%s: certificate rejected: %s"
-                                % (t.to_hex_text(), "; ".join(rep.failures)))
-            else:
-                failures.append("%s: %d queries but AND-isomorphic=%s"
-                                % (t.to_hex_text(), c, bits in iso))
+        levels[cert.level] += 1
         if t.is_monotone():
             mono += 1
-            if c == 4:
-                mono_four.append(bits)
-    return counts, levels, good, failures, mono, mono_four
+            if c == n:
+                mono_full.append(bits)
+        msg = None
+        if not rep.ok:
+            msg = "%s: certificate rejected: %s" % (t.to_hex_text(),
+                                                    "; ".join(rep.failures))
+        elif (c == n) != (bits in iso):
+            msg = "%s: %d queries but AND-isomorphic=%s" % (t.to_hex_text(),
+                                                           c, bits in iso)
+        rec.check(msg is None, msg)
+    return rec, counts, levels, mono, mono_full
 
 
 def suite_sweep4(max_n=None, seed=0, jobs=1) -> SuiteReport:
@@ -408,27 +412,18 @@ def suite_sweep4(max_n=None, seed=0, jobs=1) -> SuiteReport:
     associatively, so the numbers cannot depend on the job count.
     """
     t0 = time.perf_counter()
-    rec = _Recorder()
     synth._cost_arrays()
     and_orbit(4)
-    bounds = [(lo, min(lo + 1024, 65536)) for lo in range(0, 65536, 1024)]
-    parts = _pool_map(_sweep4_chunk, bounds, jobs)
-    counts = [0] * 5
-    levels = {}
-    mono = 0
-    mono_four = []
-    for cc, lv, good, fails, mc, mf in parts:
-        for i, v in enumerate(cc):
-            counts[i] += v
-        for k, v in lv.items():
-            levels[k] = levels.get(k, 0) + v
-        rec.checked += cc[0] + cc[1] + cc[2] + cc[3] + cc[4]
-        rec.passed += good
-        for msg in fails:
-            if len(rec.failures) < FAILURE_CAP:
-                rec.failures.append(msg)
+    chunks = [(4, range(lo, lo + 1024)) for lo in range(0, 65536, 1024)]
+    rec = _Recorder()
+    counts, levels = Counter(), Counter()
+    mono, mono_four = 0, []
+    for part, cc, lv, mc, mf in _pool_map(_certify_chunk, chunks, jobs):
+        rec.merge(part)
+        counts += cc
+        levels += lv
         mono += mc
-        mono_four.extend(mf)
+        mono_four += mf
     rec.check(counts[4] == 32, "expected 32 four-query tables, got %d"
               % counts[4])
     want_mono_four = sorted([table_and(4).bits, table_or(4).bits])
@@ -671,32 +666,6 @@ def suite_counting(max_n=None, seed=0, jobs=1) -> SuiteReport:
 # flagged 5-bit sample (stretch)
 
 
-def _sample5_chunk(args):
-    seed, count = args
-    rng = random.Random(seed)
-    iso5 = and_orbit(5)
-    findings = []
-    checked = 0
-    for _ in range(count):
-        bits = rng.getrandbits(32)
-        t = TruthTable(5, bits)
-        checked += 1
-        try:
-            cert = synth.synthesize(t)
-            rep = synth.verify_certificate(cert)
-        except Exception as e:  # noqa: BLE001 - findings, not crashes
-            findings.append("%s: synthesis raised %r" % (t.to_hex_text(), e))
-            continue
-        if not rep.ok:
-            findings.append("%s: certificate rejected: %s"
-                            % (t.to_hex_text(), "; ".join(rep.failures)))
-        elif (cert.claimed_queries == 5) != (bits in iso5):
-            findings.append("%s: %d queries but AND-isomorphic=%s"
-                            % (t.to_hex_text(), cert.claimed_queries,
-                               bits in iso5))
-    return checked, findings
-
-
 def suite_sample5(max_n=None, seed=0, jobs=1) -> SuiteReport:
     """Random 5-bit synthesis census; exploratory, findings not failures.
 
@@ -707,30 +676,17 @@ def suite_sample5(max_n=None, seed=0, jobs=1) -> SuiteReport:
     and the sweep stays a flagged stretch check.
     """
     t0 = time.perf_counter()
+    chunks = []
+    for i in range(6):
+        rng = random.Random(seed * 65537 + i)
+        chunks.append((5, [rng.getrandbits(32) for _ in range(100)]))
+    chunks.append((5, sorted(and_orbit(5))))
     rec = _Recorder()
-    samples = 600
-    chunk = 100
-    args = [(seed * 65537 + i, chunk) for i in range(samples // chunk)]
-    parts = _pool_map(_sample5_chunk, args, jobs)
-    findings = []
-    for cc, ff in parts:
-        rec.checked += cc
-        rec.passed += cc
-        findings.extend(ff)
-    for bits in sorted(and_orbit(5)):
-        t = TruthTable(5, bits)
-        rec.checked += 1
-        rec.passed += 1
-        cert = synth.synthesize(t)
-        rep = synth.verify_certificate(cert)
-        if not rep.ok:
-            findings.append("%s: certificate rejected: %s"
-                            % (t.to_hex_text(), "; ".join(rep.failures)))
-        elif cert.claimed_queries != 5:
-            findings.append("%s: AND-isomorphic yet %d queries"
-                            % (t.to_hex_text(), cert.claimed_queries))
-    return rec.report("sample5", rec.checked, t0,
-                      {"stretch": True, "findings": findings[:FAILURE_CAP]})
+    for part, *_ in _pool_map(_certify_chunk, chunks, jobs):
+        rec.merge(part)
+    return SuiteReport("sample5", rec.checked, rec.checked, rec.checked, 0,
+                       [], time.perf_counter() - t0,
+                       {"stretch": True, "findings": rec.failures})
 
 
 SUITES = {

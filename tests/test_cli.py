@@ -558,17 +558,38 @@ def test_verify_max_n_env_and_flag(monkeypatch, capsys):
     assert json.loads(out)["reports"][0]["population"] == 4 + 8 + 16
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("value", ["0", "-3", "13", "100"])
 def test_verify_rejects_max_n_below_one(monkeypatch, capsys, value):
+    # above 12 is rejected too: synthesis, depth and read-once
+    # recognition all stop at arity 12
+    bound = "at least 1" if int(value) < 1 else "at most 12"
     monkeypatch.delenv("QUERYSYNTH_MAX_N", raising=False)
     rc, out, err = run_cli(capsys, "verify", "--suite", "primitives",
                            "--max-n", value)
     assert (rc, out) == (2, "")
-    assert err == "error: --max-n must be at least 1\n"
+    assert err == "error: --max-n must be %s\n" % bound
     monkeypatch.setenv("QUERYSYNTH_MAX_N", value)
     rc, out, err = run_cli(capsys, "verify", "--suite", "primitives")
     assert (rc, out) == (2, "")
-    assert err == "error: QUERYSYNTH_MAX_N must be at least 1\n"
+    assert err == "error: QUERYSYNTH_MAX_N must be %s\n" % bound
+
+
+def test_verify_accepts_max_n_twelve(monkeypatch, capsys):
+    from querysynth.suites import SuiteReport
+    seen = []
+
+    def fake(name, max_n=None, seed=0, jobs=1):
+        seen.append(max_n)
+        return SuiteReport(name, 1, 1, 1, 0, [], 0.0, {})
+
+    monkeypatch.setattr(cli, "run_suite", fake)
+    monkeypatch.delenv("QUERYSYNTH_MAX_N", raising=False)
+    rc, _, _ = run_cli(capsys, "verify", "--suite", "depth", "--max-n", "12")
+    assert rc == 0
+    monkeypatch.setenv("QUERYSYNTH_MAX_N", "12")
+    rc, _, _ = run_cli(capsys, "verify", "--suite", "depth")
+    assert rc == 0
+    assert seen == [12, 12]
 
 
 def test_verify_jobs_rejected_below_one_and_clamped(monkeypatch, capsys):

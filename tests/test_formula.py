@@ -203,7 +203,7 @@ def test_recognizer_input_guards():
     dead = TruthTable.from_values([m & 1 for m in range(8)])  # x2, x3 dead
     with pytest.raises(ValueError):
         recognize_read_once(dead)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="arity <= 12"):
         recognize_read_once(TruthTable(READ_ONCE_MAX_ARITY + 1, 0))
 
 

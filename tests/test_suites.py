@@ -5,20 +5,26 @@ here the suites execute at small caps so a plumbing regression (merge
 order, recorder counts, extras schema) surfaces in seconds.
 """
 
+import dataclasses
 import json
 import random
 
 import pytest
 
+from querysynth import suites
 from querysynth.boolfun import NpnTransform, TruthTable, _degree_table
+from querysynth.qprogram import ClassicalQuery, Output
 from querysynth.suites import (
+    FAILURE_CAP,
     SUITES,
     SuiteReport,
     _census4,
+    _certify_chunk,
+    _Recorder,
     and_orbit,
     run_suite,
 )
-from querysynth.synth import _cost_arrays
+from querysynth.synth import Certificate, _cost_arrays
 
 
 def one_point_tables(n):
@@ -141,3 +147,92 @@ def test_sample5_seed_changes_draws():
     _assert_coherent(a)
     _assert_coherent(b)
     assert a.ok and b.ok
+
+
+# ---------------------------------------------------------------------------
+# the synthesize-and-verify driver behind sweep4 and sample5
+
+
+def full_tree(t, var=1, m=0):
+    """Classical program reading every variable: arity queries per path."""
+    if var > t.arity:
+        return Output(t.value(m))
+    return ClassicalQuery(var, full_tree(t, var + 1, m),
+                          full_tree(t, var + 1, m | 1 << (var - 1)))
+
+
+RAISES, REJECTED, FOUR_QUERIES = 0x6996, 0x0ff0, 0x1234
+
+
+@pytest.fixture
+def faulty_synthesize(monkeypatch):
+    real = suites.synth.synthesize
+
+    def fake(t):
+        if t.bits == RAISES:
+            raise RuntimeError("boom")
+        if t.bits == REJECTED:
+            cert = real(t)
+            return dataclasses.replace(
+                cert, claimed_queries=cert.claimed_queries + 1)
+        if t.bits == FOUR_QUERIES:
+            # a valid certificate that breaks the dichotomy: 4 queries
+            # on a table that is not AND-isomorphic
+            return Certificate(t, full_tree(t), 4, "ClassicalOnly", (),
+                               False)
+        return real(t)
+
+    monkeypatch.setattr(suites.synth, "synthesize", fake)
+
+
+def test_certify_chunk_one_check_per_table(faulty_synthesize):
+    tables = [0x8000, RAISES, 0xff00, REJECTED, FOUR_QUERIES, 0x0001]
+    rec, counts, levels, mono, mono_full = _certify_chunk((4, tables))
+    assert (rec.checked, rec.passed, rec.failed) == (6, 3, 3)
+    assert len(rec.failures) == 3
+    assert rec.failures[0] == "hex:6996: synthesis raised RuntimeError('boom')"
+    assert rec.failures[1].startswith("hex:0ff0: certificate rejected: ")
+    assert "certificate claims" in rec.failures[1]
+    assert rec.failures[2] == ("hex:1234: 4 queries but "
+                               "AND-isomorphic=False")
+    # the raising table is in no tally
+    assert sum(counts.values()) == sum(levels.values()) == 5
+    assert counts[4] == 3
+    # 8000 (AND_4) and ff00 (x4) are monotone; AND_4 costs 4
+    assert (mono, mono_full) == (2, [0x8000])
+
+
+def test_recorder_merge_keeps_first_failures_in_chunk_order():
+    parts = []
+    for c in range(3):
+        rec = _Recorder()
+        rec.check(True, "unused")
+        for i in range(30):
+            rec.check(False, "chunk %d failure %d" % (c, i))
+        parts.append(rec)
+    merged = _Recorder()
+    for rec in parts:
+        merged.merge(rec)
+    assert (merged.checked, merged.passed, merged.failed) == (93, 3, 90)
+    assert len(merged.failures) == FAILURE_CAP == 50
+    assert merged.failures == (["chunk 0 failure %d" % i for i in range(30)]
+                               + ["chunk 1 failure %d" % i
+                                  for i in range(20)])
+
+
+def test_sample5_reports_synthesis_errors_as_findings(monkeypatch):
+    real = suites.synth.synthesize
+    bad = min(and_orbit(5))
+
+    def fake(t):
+        if t.bits == bad:
+            raise RuntimeError("boom")
+        return real(t)
+
+    monkeypatch.setattr(suites.synth, "synthesize", fake)
+    rep = run_suite("sample5", seed=3, jobs=1)
+    _assert_coherent(rep)
+    assert rep.failed == 0 and rep.passed == rep.checked == 664
+    assert rep.extras["findings"] == [
+        "%s: synthesis raised RuntimeError('boom')"
+        % TruthTable(5, bad).to_hex_text()]
