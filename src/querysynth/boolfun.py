@@ -419,7 +419,11 @@ class TruthTable:
         return (((self.bits >> blk) ^ self.bits) & mask0) == 0
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.arity + 1) if not self.is_dead(i))
+        """Live variables in one pass: x_i is live when some code with bit
+        i-1 set reads a value other than the code 2**(i-1) below it."""
+        bits = self.bits
+        return tuple([p + 1 for p, mask in enumerate(_var_masks(self.arity))
+                      if ((bits << (1 << p)) ^ bits) & mask])
 
     def drop_dead(self) -> tuple["TruthTable", tuple[int, ...]]:
         """Remove dead variables; returns (table, kept original indices)."""
@@ -678,6 +682,7 @@ def table_or(n: int) -> TruthTable:
     return TruthTable.from_profile([0] + [1] * n)
 
 
+@functools.cache
 def table_parity(n: int) -> TruthTable:
     return TruthTable.from_profile([w & 1 for w in range(n + 1)])
 

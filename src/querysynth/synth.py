@@ -28,8 +28,8 @@ import numpy as np
 from .boolfun import (NpnTransform, TruthTable, _flip_images, _restrict_bits,
                       _var_masks, table_parity)
 from .formula import _split, _unate
-from .qprogram import (AxiomLeaf, ClassicalQuery, Output, UnitaryBlock,
-                       XorQuery, axiom_citation, axiom_queries,
+from .qprogram import (AxiomLeaf, ClassicalQuery, Output, XorQuery,
+                       axiom_citation, axiom_queries,
                        axiom_rep_table, classify_level, collect_axioms,
                        _json_int, max_var, nae_program, parity_program,
                        program_from_json, program_to_json, query_cost,
@@ -110,6 +110,29 @@ def _queries_in_order(n: int) -> tuple:
     return tuple(order)
 
 
+@functools.cache
+def _route_index(n: int) -> np.ndarray:
+    """Entry [r, b, m] is the code of f that residual b of route r (in
+    `_queries_in_order(n)` order) reads at its own code m: the residual
+    after x_p = b, or after x_i xor x_j = b with x_j dropped, is
+    `f.values()[_route_index(n)[r, b]]`."""
+    sub = np.arange(1 << (n - 1), dtype=np.intp)
+    rows = []
+    for kind, *args in _queries_in_order(n):
+        if kind == "cq":
+            p = args[0]
+            ins = _insert_zero(sub, p - 1)
+            rows.append((ins, ins | (1 << (p - 1))))
+        else:
+            i, j = args
+            ins = _insert_zero(sub, j - 1)
+            bi = (ins >> (i - 1)) & 1
+            rows.append((ins | (bi << (j - 1)), ins | ((bi ^ 1) << (j - 1))))
+    index = np.array(rows, dtype=np.intp)
+    index.flags.writeable = False
+    return index
+
+
 def _residual(f: TruthTable, route: tuple, b: int) -> TruthTable:
     """f after the route's query answered b: x_p = b for ("cq", p),
     x_i xor x_j = b for ("xor", i, j)."""
@@ -128,21 +151,9 @@ def _cost_arrays() -> list:
         tabs = np.arange(ntab, dtype=np.int64)
         bits = ((tabs[:, None] >> np.arange(size)[None, :]) & 1).astype(np.uint8)
         pows = np.left_shift(np.int64(1), np.arange(half, dtype=np.int64))
-        sub = np.arange(half, dtype=np.int64)
         prev = costs[n - 1]
         best = np.full(ntab, 255, dtype=np.uint8)
-        for kind, *args in _queries_in_order(n):
-            if kind == "cq":
-                p = args[0]
-                ins = _insert_zero(sub, p - 1)
-                e0 = ins
-                e1 = ins | (1 << (p - 1))
-            else:
-                i, j = args
-                ins = _insert_zero(sub, j - 1)
-                bi = (ins >> (i - 1)) & 1
-                e0 = ins | (bi << (j - 1))
-                e1 = ins | ((bi ^ 1) << (j - 1))
+        for (kind, *_), (e0, e1) in zip(_queries_in_order(n), _route_index(n)):
             c0 = bits[:, e0] @ pows
             c1 = bits[:, e1] @ pows
             s0 = prev[c0]
@@ -239,16 +250,35 @@ def _cost_big(t: TruthTable) -> tuple[int, int | None]:
 
 
 def _route_search(t: TruthTable) -> tuple[int, int | None]:
+    """(cost, witness) over the query routes of a full-support table of
+    arity > ENGINE_ARRAY_MAX; every residual comes from one gather."""
     n = t.arity
-    lb = max(1, (t.degree() + 1) // 2)
     best = n - 1 if _nae_pattern(t) is not None else n
+    packed = np.packbits(t.values()[_route_index(n)], axis=-1,
+                         bitorder="little")
+    if n == ENGINE_ARRAY_MAX + 1:
+        # the residuals are 16-bit tables, priced all at once; no route
+        # beats ceil(deg/2), so the first cheapest route is the one a
+        # search stopping at that bound would keep
+        s = _cost_arrays()[ENGINE_ARRAY_MAX][packed.view("<u2")[..., 0]]
+        cand = 1 + s.max(axis=1)
+        r = int(cand.argmin())
+        return (int(cand[r]), r) if cand[r] < best else (best, None)
+    lb = max(1, (t.degree() + 1) // 2)
     witness = None
     if best > lb:
-        for idx, route in enumerate(_queries_in_order(n)):
-            s0 = _cost_of(_residual(t, route, 0))
+        raw, nbytes = packed.tobytes(), packed.shape[-1]
+
+        def cost(k: int) -> int:
+            """Cost of residual k % 2 of route k // 2."""
+            code = int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little")
+            return _cost_of(TruthTable(n - 1, code))
+
+        for idx in range(len(packed)):
+            s0 = cost(2 * idx)
             if 1 + s0 >= best:
                 continue
-            cand = 1 + max(s0, _cost_of(_residual(t, route, 1)))
+            cand = 1 + max(s0, cost(2 * idx + 1))
             if cand < best:
                 best, witness = cand, idx
                 if best <= lb:

@@ -230,6 +230,21 @@ def test_support_and_drop_dead():
     assert sub.bits == table_and(2).bits
 
 
+def test_support_matches_is_dead():
+    rng = random.Random(3)
+    for n in range(11):
+        for _ in range(4):
+            # a random table on a random subset of the variables
+            kept = [i for i in range(n) if rng.random() < 0.7]
+            lut = rng.getrandbits(1 << len(kept))
+            vals = [(lut >> sum(((m >> v) & 1) << k
+                                for k, v in enumerate(kept))) & 1
+                    for m in range(1 << n)]
+            t = TruthTable.from_values(vals)
+            want = tuple(i for i in range(1, n + 1) if not t.is_dead(i))
+            assert t.support() == want, t
+
+
 def test_drop_dead_constant():
     sub, kept = TruthTable(3, 0).drop_dead()
     assert kept == () and sub.arity == 0 and sub.bits == 0

@@ -189,6 +189,72 @@ def test_cost_is_npn_invariant(n, rnd):
     assert query_complexity(f) == query_complexity(_random_npn(rnd, n).apply(f))
 
 
+def test_route_index_gathers_the_residuals():
+    rng = random.Random(11)
+    for n in range(2, 10):
+        index = synth._route_index(n)
+        routes = synth._queries_in_order(n)
+        assert index.shape == (len(routes), 2, 1 << (n - 1))
+        for _ in range(2):
+            f = TruthTable(n, rng.getrandbits(1 << n))
+            vals = f.values()
+            for r, route in enumerate(routes):
+                for b in (0, 1):
+                    got = TruthTable.from_values(vals[index[r, b]].tolist())
+                    assert got == synth._residual(f, route, b), (f, route, b)
+
+
+def _reference_route_search(t):
+    """The route search as a loop over `_residual` and `_cost_of`: stop at
+    ceil(deg/2), price s1 only when s0 fits, keep the first strict gain."""
+    n = t.arity
+    lb = max(1, (t.degree() + 1) // 2)
+    best = n - 1 if synth._nae_pattern(t) is not None else n
+    witness = None
+    if best > lb:
+        for idx, route in enumerate(synth._queries_in_order(n)):
+            s0 = synth._cost_of(synth._residual(t, route, 0))
+            if 1 + s0 >= best:
+                continue
+            cand = 1 + max(s0, synth._cost_of(synth._residual(t, route, 1)))
+            if cand < best:
+                best, witness = cand, idx
+                if best <= lb:
+                    break
+    return best, witness
+
+
+def _two_xor_levels(rnd, n):
+    """(x_a xor x_b) ? x_c xor x_d : x_e [xor x_f], variables shuffled:
+    degree 4, cost 2, so the search stops at ceil(deg/2)."""
+    v = rnd.sample(range(n), n)
+    vals = []
+    for m in range(1 << n):
+        x = [(m >> i) & 1 for i in range(n)]
+        if x[v[0]] ^ x[v[1]]:
+            vals.append(x[v[2]] ^ x[v[3]])
+        else:
+            vals.append(x[v[4]] ^ (x[v[5]] if n > 5 else 0))
+    return TruthTable.from_values(vals)
+
+
+def test_route_search_matches_the_reference_loop():
+    rnd = random.Random(12)
+    tables = [TruthTable(n, rnd.getrandbits(1 << n))
+              for n, count in ((5, 60), (6, 12), (7, 3))
+              for _ in range(count)]
+    nae = [_random_npn(rnd, n).apply(table_nae(n))
+           for n in (5, 6) for _ in range(4)]
+    low = [_two_xor_levels(rnd, n) for n in (5, 6) for _ in range(6)]
+    for t in tables + nae + low:
+        assert t.support() == tuple(range(1, t.arity + 1))
+        assert synth._route_search(t) == _reference_route_search(t), t
+    for t in nae:
+        assert synth._route_search(t) == (t.arity - 1, None)
+    for t in low:
+        assert synth._route_search(t)[0] == 2 == (t.degree() + 1) // 2
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
