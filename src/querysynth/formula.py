@@ -7,6 +7,8 @@ exactly once).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass
 from math import comb
@@ -53,17 +55,9 @@ class Gate:
 
 def variables(node) -> tuple[int, ...]:
     """Sorted distinct variable indices mentioned in the formula."""
-    out: set[int] = set()
-    _collect_vars(node, out)
-    return tuple(sorted(out))
-
-
-def _collect_vars(node, out):
     if isinstance(node, Leaf):
-        out.add(node.var)
-    else:
-        for ch in node.children:
-            _collect_vars(ch, out)
+        return (node.var,)
+    return tuple(sorted({v for ch in node.children for v in variables(ch)}))
 
 
 def leaf_count(node) -> int:
@@ -77,9 +71,10 @@ def is_read_once(node) -> bool:
 
 
 def _min_var(node) -> int:
-    if isinstance(node, Leaf):
-        return node.var
-    return min(_min_var(ch) for ch in node.children)
+    """Least variable of a normalized formula: its first leaf's."""
+    while isinstance(node, Gate):
+        node = node.children[0]
+    return node.var
 
 
 def normalize(node):
@@ -93,7 +88,11 @@ def normalize(node):
             kids.extend(ch.children)
         else:
             kids.append(ch)
-    kids.sort(key=lambda c: (_min_var(c), to_text(c)))
+    kids.sort(key=_min_var)
+    # children of a read-once formula never share a least variable; only
+    # repeated variables need the text to break ties
+    if len({_min_var(c) for c in kids}) < len(kids):
+        kids.sort(key=lambda c: (_min_var(c), to_text(c)))
     return Gate(node.op, tuple(kids))
 
 
@@ -345,9 +344,13 @@ def _decompose(t: TruthTable, var_map: tuple[int, ...]):
 # ---------------------------------------------------------------------------
 
 
-def _shape_count(k: int) -> int:
-    # binary trees with k leaves
-    return comb(2 * (k - 1), k - 1) // k
+@functools.cache
+def _split_weights(k: int) -> tuple:
+    """Cumulative counts of the binary trees with k leaves by the leaf
+    count 1..k-1 of the left subtree."""
+    shapes = [comb(2 * (l - 1), l - 1) // l for l in range(1, k)]
+    return tuple(itertools.accumulate(
+        a * b for a, b in zip(shapes, reversed(shapes))))
 
 
 def random_read_once(n: int, seed: int):
@@ -363,8 +366,7 @@ def random_read_once(n: int, seed: int):
     def build(k: int):
         if k == 1:
             return Leaf(next(feed), rng.random() < 0.5)
-        weights = [_shape_count(l) * _shape_count(k - l) for l in range(1, k)]
-        l = rng.choices(range(1, k), weights=weights)[0]
+        l = rng.choices(range(1, k), cum_weights=_split_weights(k))[0]
         op = "and" if rng.random() < 0.5 else "or"
         return Gate(op, (build(l), build(k - l)))
 

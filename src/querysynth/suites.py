@@ -544,11 +544,10 @@ def suite_structural(max_n=None, seed=0, jobs=1) -> SuiteReport:
     max_n = 5 if max_n is None else max_n
     t0 = time.perf_counter()
     rec = _Recorder()
-    arrays = synth._cost_arrays()
+    (costs3, _), (costs4, _) = synth._cost_arrays()[3:5]
     population = 0
 
     iso4 = and_orbit(4)
-    costs4, costs3 = arrays[4], arrays[3]
     for bits in range(65536):
         population += 1
         _structural_checks(rec, bits, 4, iso4,
@@ -656,7 +655,7 @@ def suite_counting(max_n=None, seed=0, jobs=1) -> SuiteReport:
                       "n=%d one-point count %d != %d" % (n, cnt, 1 << (n + 1)))
         else:
             population += len(orbit)
-    four = int((synth._cost_arrays()[4] == 4).sum())
+    four = int((synth._cost_arrays()[4][0] == 4).sum())
     rec.check(four == 32, "engine says %d tables cost 4, expected 32" % four)
     return rec.report("counting", population, t0,
                       {"populationByArity": by_arity})

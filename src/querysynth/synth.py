@@ -7,8 +7,8 @@ function classes whose exact quantum query complexity is known to beat
 this space (EXACT/threshold counting classes and the two-query
 three-variable and-or function). Costs for all functions of arity at
 most 4 are tabulated in full; larger arities are solved on demand with
-memoization, and the memo keeps the route that reached each cost so that
-the program builder replays it instead of searching again.
+memoization. Tables and memo keep the first route that reached each
+cost, and the program builder replays it instead of choosing one.
 
 A synthesized certificate carries the program, its claimed query count,
 the rules that produced it, and enough structure for an independent
@@ -101,13 +101,9 @@ def _insert_zero(ms: np.ndarray, pos: int) -> np.ndarray:
 @functools.cache
 def _queries_in_order(n: int) -> tuple:
     """Shared candidate order: xor pairs first, then single variables."""
-    order = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            order.append(("xor", i, j))
-    for p in range(1, n + 1):
-        order.append(("cq", p))
-    return tuple(order)
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return (tuple(("xor", i, j) for i, j in pairs)
+            + tuple(("cq", p) for p in range(1, n + 1)))
 
 
 @functools.cache
@@ -133,17 +129,22 @@ def _route_index(n: int) -> np.ndarray:
     return index
 
 
-def _residual(f: TruthTable, route: tuple, b: int) -> TruthTable:
-    """f after the route's query answered b: x_p = b for ("cq", p),
-    x_i xor x_j = b for ("xor", i, j)."""
-    if route[0] == "cq":
-        return f.restrict(route[1], b)
-    return f.substitute_xor(route[1], route[2], b)
+def _gather(t: TruthTable, index: np.ndarray) -> np.ndarray:
+    """The residuals of t that `index`, a part of `_route_index(t.arity)`,
+    selects, each packed into little-endian bytes along the last axis."""
+    return np.packbits(t.values()[index], axis=-1, bitorder="little")
+
+
+# witness entry of a table whose cost only a closed form reaches
+_NO_ROUTE = 255
 
 
 @functools.cache
 def _cost_arrays() -> list:
-    costs = [np.zeros(2, dtype=np.uint8)]
+    """Entry n holds (cost, witness) arrays over the arity-n tables: the
+    witness is the index in `_queries_in_order(n)` of the first route
+    whose cost equals the table's, or _NO_ROUTE."""
+    arrays = [(np.zeros(2, dtype=np.uint8), np.full(2, _NO_ROUTE, np.uint8))]
     for n in range(1, ENGINE_ARRAY_MAX + 1):
         size = 1 << n
         ntab = 1 << size
@@ -151,19 +152,16 @@ def _cost_arrays() -> list:
         tabs = np.arange(ntab, dtype=np.int64)
         bits = ((tabs[:, None] >> np.arange(size)[None, :]) & 1).astype(np.uint8)
         pows = np.left_shift(np.int64(1), np.arange(half, dtype=np.int64))
-        prev = costs[n - 1]
-        best = np.full(ntab, 255, dtype=np.uint8)
+        prev = arrays[n - 1][0]
+        cands = []
         for (kind, *_), (e0, e1) in zip(_queries_in_order(n), _route_index(n)):
-            c0 = bits[:, e0] @ pows
-            c1 = bits[:, e1] @ pows
-            s0 = prev[c0]
-            s1 = prev[c1]
-            if kind == "cq":
-                cand = np.where(c0 == c1, s0,
-                                1 + np.maximum(s0, s1)).astype(np.uint8)
-            else:
-                cand = (1 + np.maximum(s0, s1)).astype(np.uint8)
-            np.minimum(best, cand, out=best)
+            c0, c1 = bits[:, e0] @ pows, bits[:, e1] @ pows
+            cand = 1 + np.maximum(prev[c0], prev[c1])
+            if kind == "cq":  # skipping a dead x_p costs nothing
+                cand = np.where(c0 == c1, prev[c0], cand)
+            cands.append(cand.astype(np.uint8))
+        cands = np.array(cands)
+        best = cands.min(axis=0)
         # the counting classes, each over its flip orbit: the input
         # negations of the symmetric representative and their complements
         # make up its whole NPN orbit
@@ -183,8 +181,10 @@ def _cost_arrays() -> list:
             general = (ones >= 2) & (ones <= size - 2)
             np.minimum(best, np.where(general, 2, 255).astype(np.uint8),
                        out=best)
-        costs.append(best)
-    return costs
+        hits = cands == best
+        witness = np.where(hits.any(axis=0), hits.argmax(axis=0), _NO_ROUTE)
+        arrays.append((best, witness.astype(np.uint8)))
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +199,7 @@ _cost_memo: dict[tuple[int, int], tuple[int, int | None]] = {}
 
 def _parity_pattern(f: TruthTable):
     """0/1 inversion flag when f is parity or its complement, else None."""
-    pb = table_parity(f.arity).bits
-    if f.bits == pb:
-        return 0
-    if f.bits == pb ^ ((1 << f.size) - 1):
-        return 1
-    return None
+    return {0: 0, (1 << f.size) - 1: 1}.get(f.bits ^ table_parity(f.arity).bits)
 
 
 def _nae_pattern(f: TruthTable):
@@ -225,17 +220,19 @@ def _nae_pattern(f: TruthTable):
 
 def _cost_of(f: TruthTable) -> int:
     # the arrays already charge nothing for dead variables
-    if f.arity <= ENGINE_ARRAY_MAX:
-        return int(_cost_arrays()[f.arity][f.bits])
-    t, _ = f.drop_dead()
-    if t.arity <= ENGINE_ARRAY_MAX:
-        return int(_cost_arrays()[t.arity][t.bits])
-    return _cost_big(t)[0]
+    if f.arity > ENGINE_ARRAY_MAX:
+        f, _ = f.drop_dead()
+    return _price(f)[0]
 
 
-def _cost_big(t: TruthTable) -> tuple[int, int | None]:
-    """(cost, witness) of a full-support table of arity > ENGINE_ARRAY_MAX."""
+def _price(t: TruthTable) -> tuple[int, int | None]:
+    """(cost, witness), as `_cost_memo` holds them, of a table of arity
+    <= ENGINE_ARRAY_MAX or of a full-support table above it."""
     n = t.arity
+    if n <= ENGINE_ARRAY_MAX:
+        cost, witness = _cost_arrays()[n]
+        w = int(witness[t.bits])
+        return int(cost[t.bits]), (None if w == _NO_ROUTE else w)
     key = (n, t.bits)
     got = _cost_memo.get(key)
     if got is not None:
@@ -243,28 +240,32 @@ def _cost_big(t: TruthTable) -> tuple[int, int | None]:
     if _parity_pattern(t) is not None:
         got = ((n + 1) // 2, None)
     else:
+        # an axiom class keeps no witness: a route may tie its count
         info = _symmetric_axiom(t)
-        got = (info[2], None) if info is not None else _route_search(t)
+        got = ((info[2], None) if info is not None else
+               _route_search(t, n - 1 if _nae_pattern(t) is not None else n))
     _cost_memo[key] = got
     return got
 
 
-def _route_search(t: TruthTable) -> tuple[int, int | None]:
-    """(cost, witness) over the query routes of a full-support table of
-    arity > ENGINE_ARRAY_MAX; every residual comes from one gather."""
+def _route_search(t: TruthTable, best: int,
+                  lb: int | None = None) -> tuple[int, int | None]:
+    """(cost, witness) of the first cheapest route of a full-support table
+    of arity > ENGINE_ARRAY_MAX that costs less than `best`, else (best,
+    None); it stops at the first route reaching `lb`, by default
+    ceil(deg/2), which no route beats. The residuals come from one gather."""
     n = t.arity
-    best = n - 1 if _nae_pattern(t) is not None else n
-    packed = np.packbits(t.values()[_route_index(n)], axis=-1,
-                         bitorder="little")
+    packed = _gather(t, _route_index(n))
     if n == ENGINE_ARRAY_MAX + 1:
         # the residuals are 16-bit tables, priced all at once; no route
-        # beats ceil(deg/2), so the first cheapest route is the one a
-        # search stopping at that bound would keep
-        s = _cost_arrays()[ENGINE_ARRAY_MAX][packed.view("<u2")[..., 0]]
+        # beats `lb`, so the first cheapest route is the one a search
+        # stopping at it would keep
+        s = _cost_arrays()[ENGINE_ARRAY_MAX][0][packed.view("<u2")[..., 0]]
         cand = 1 + s.max(axis=1)
         r = int(cand.argmin())
         return (int(cand[r]), r) if cand[r] < best else (best, None)
-    lb = max(1, (t.degree() + 1) // 2)
+    if lb is None:
+        lb = max(1, (t.degree() + 1) // 2)
     witness = None
     if best > lb:
         raw, nbytes = packed.tobytes(), packed.shape[-1]
@@ -310,51 +311,40 @@ def _note(rules: list, use: RuleUse):
         rules.append(use)
 
 
-def _remap(node, mapping: dict, flips: int):
-    """Rename variables and absorb input negations into branch swaps."""
+# the names argument of `_remap` that keeps every variable's name
+_SAME_NAMES = range(1, ENGINE_MAX_ARITY + 1)
+
+
+def _remap(node, names, flips: int, outputs=None):
+    """Rename x_v to x_{names[v - 1]}, absorb the negation of each renamed
+    input x_w with bit w - 1 set in `flips` into branch swaps, and replace
+    each Output(b) by outputs[b] when `outputs` is given."""
     if isinstance(node, Output):
-        return node
+        return node if outputs is None else outputs[node.bit]
     if isinstance(node, ClassicalQuery):
-        v = mapping[node.var]
-        c0 = _remap(node.child0, mapping, flips)
-        c1 = _remap(node.child1, mapping, flips)
+        v = names[node.var - 1]
+        c0 = _remap(node.child0, names, flips, outputs)
+        c1 = _remap(node.child1, names, flips, outputs)
         if (flips >> (v - 1)) & 1:
             c0, c1 = c1, c0
         return ClassicalQuery(v, c0, c1)
     if isinstance(node, XorQuery):
-        i, j = mapping[node.i], mapping[node.j]
+        i, j = names[node.i - 1], names[node.j - 1]
         if i > j:
             i, j = j, i
-        c0 = _remap(node.child0, mapping, flips)
-        c1 = _remap(node.child1, mapping, flips)
+        c0 = _remap(node.child0, names, flips, outputs)
+        c1 = _remap(node.child1, names, flips, outputs)
         if (((flips >> (i - 1)) ^ (flips >> (j - 1))) & 1):
             c0, c1 = c1, c0
         return XorQuery(i, j, c0, c1)
-    if isinstance(node, AxiomLeaf):
+    if isinstance(node, AxiomLeaf) and outputs is None:
         return AxiomLeaf(node.class_id,
-                         tuple(sorted(mapping[v] for v in node.variables)),
+                         tuple(sorted(names[v - 1] for v in node.variables)),
                          node.queries, node.citation, node.k)
     raise RuntimeError("cannot remap node %r" % type(node).__name__)
 
 
-def _graft(node, stop_bit: int, replacement):
-    """Replace every Output(stop_bit) leaf by `replacement`."""
-    if isinstance(node, Output):
-        return replacement if node.bit == stop_bit else node
-    if isinstance(node, ClassicalQuery):
-        return ClassicalQuery(node.var,
-                              _graft(node.child0, stop_bit, replacement),
-                              _graft(node.child1, stop_bit, replacement))
-    if isinstance(node, XorQuery):
-        return XorQuery(node.i, node.j,
-                        _graft(node.child0, stop_bit, replacement),
-                        _graft(node.child1, stop_bit, replacement))
-    if isinstance(node, AxiomLeaf):
-        raise RuntimeError("cannot graft through an axiom leaf")
-    raise RuntimeError("cannot graft node %r" % type(node).__name__)
-
-
-def _and_iso_chain(f: TruthTable) -> ClassicalQuery:
+def _and_iso_chain(f: TruthTable, names: tuple) -> ClassicalQuery:
     n = f.arity
     if f.popcount() == 1:
         point = f.bits.bit_length() - 1
@@ -364,7 +354,7 @@ def _and_iso_chain(f: TruthTable) -> ClassicalQuery:
         node, stop = Output(0), Output(1)
     for i in range(n, 0, -1):
         want = (point >> (i - 1)) & 1
-        node = ClassicalQuery(i, node if want == 0 else stop,
+        node = ClassicalQuery(names[i - 1], node if want == 0 else stop,
                               node if want == 1 else stop)
     return node
 
@@ -374,20 +364,24 @@ def _build_small(n: int, bits: int) -> tuple:
     """(tree, rules) of an arity <= 3 table: small residuals recur across
     many functions."""
     rules: list = []
-    tree = _build_impl(TruthTable(n, bits), rules)
+    tree = _build_impl(TruthTable(n, bits), tuple(range(1, n + 1)), rules)
     return tree, tuple(rules)
 
 
-def _build(f: TruthTable, rules: list):
+def _build(f: TruthTable, names: tuple, rules: list, flips: int = 0):
+    """Program for f that reads f's variable x_v as x_{names[v - 1]} (the
+    names increase with v), each input x_w with bit w - 1 of `flips` set
+    negated."""
     if f.arity > 3:
-        return _build_impl(f, rules)
+        tree = _build_impl(f, names, rules)
+        return _remap(tree, _SAME_NAMES, flips) if flips else tree
     tree, used = _build_small(f.arity, f.bits)
     for use in used:
         _note(rules, use)
-    return tree
+    return _remap(tree, names, flips)
 
 
-def _build_impl(f: TruthTable, rules: list):
+def _build_impl(f: TruthTable, names: tuple, rules: list):
     n = f.arity
     if f.is_constant():
         _note(rules, RuleUse("R0", "constant output"))
@@ -397,34 +391,28 @@ def _build_impl(f: TruthTable, rules: list):
         sub, kept = f.drop_dead()
         _note(rules, RuleUse("R1", "dropped %d dead variable(s)"
                              % (n - len(kept))))
-        mapping = {v: kept[v - 1] for v in range(1, sub.arity + 1)}
-        return _remap(_build(sub, rules), mapping, 0)
+        return _build(sub, tuple(names[v - 1] for v in kept), rules)
     if f.is_and_isomorphic():
         _note(rules, RuleUse("R2", "classical chain, optimal for functions "
                              "with a unique deciding input", CITE_AND_OR))
-        return _and_iso_chain(f)
-    if n > ENGINE_ARRAY_MAX:
-        c, route = _cost_big(f)
-    else:
-        c, route = _cost_of(f), None
+        return _and_iso_chain(f, names)
+    c, route = _price(f)
     inv = _parity_pattern(f)
     if inv is not None:
         assert c == (n + 1) // 2
         _note(rules, RuleUse("R3", "paired xor queries for a parity pattern",
                              CITE_XOR_GADGET))
-        return parity_program(n, invert=bool(inv))
+        return _remap(parity_program(n, invert=bool(inv)), names, 0)
     nae = _nae_pattern(f)
     if nae is not None and c == n - 1:
         _note(rules, RuleUse("R3", "neighbour xor chain for an "
                              "equality-to-pattern test", CITE_XOR_GADGET))
         anchor, match = nae
-        return nae_program(n, bool(match), anchor)
-    if route is None:
-        # no witness from the engine: the first route in the shared order
-        # whose residuals both fit in c - 1 queries, if any
-        route = next((idx for idx, r in enumerate(_queries_in_order(n))
-                      if _cost_of(_residual(f, r, 0)) < c
-                      and _cost_of(_residual(f, r, 1)) < c), None)
+        return _remap(nae_program(n, bool(match), anchor), names, 0)
+    if route is None and n > ENGINE_ARRAY_MAX:
+        # an axiom class, priced by its formula: the first route that
+        # ties its count, if any, is built instead of the leaf
+        route = _route_search(f, c + 1, c)[1]
     if route is None:
         info = _axiom_class_of(f)
         if info is not None and info[2] == c:
@@ -432,8 +420,7 @@ def _build_impl(f: TruthTable, rules: list):
             rule = "R4" if class_id == "and_or_3" else "R3"
             _note(rules, RuleUse(rule, "known exact algorithm for the %s "
                                  "class" % class_id, axiom_citation(class_id)))
-            return AxiomLeaf(class_id, tuple(range(1, n + 1)), q,
-                             axiom_citation(class_id), k)
+            return AxiomLeaf(class_id, names, q, axiom_citation(class_id), k)
         if n == 3:
             # not in any catalogued orbit yet cheaper than every one-query
             # continuation: the 3-bit classification guarantees two queries
@@ -441,7 +428,7 @@ def _build_impl(f: TruthTable, rules: list):
             _note(rules, RuleUse("R4", "certified two-query family: 3-bit "
                                  "functions not isomorphic to AND_3",
                                  CITE_THREE_BIT))
-            return AxiomLeaf("three_bit", (1, 2, 3), 2, CITE_THREE_BIT)
+            return AxiomLeaf("three_bit", names, 2, CITE_THREE_BIT)
     unate = _unate(f)
     split = _split(unate[0]) if unate is not None else None
     if split is not None:
@@ -450,14 +437,17 @@ def _build_impl(f: TruthTable, rules: list):
         part_rules: list = []
         trees = []
         for comp, sub in parts:
-            mapping = {v: comp[v - 1] for v in range(1, sub.arity + 1)}
-            trees.append(_remap(_build(sub, part_rules), mapping, flips))
+            negated = sum(1 << (names[v - 1] - 1) for v in comp
+                          if (flips >> (v - 1)) & 1)
+            trees.append(_build(sub, tuple(names[v - 1] for v in comp),
+                                part_rules, negated))
         # a leaf is terminal, so only the last factor may carry one
         if not any(collect_axioms(tr) for tr in trees[:-1]):
-            composed = trees[-1]
-            stop = 1 if op == "or" else 0
+            composed = trees[-1]  # outputs that do not settle `op` run on
             for tr in reversed(trees[:-1]):
-                composed = _graft(tr, 1 - stop, composed)
+                outputs = ((Output(0), composed) if op == "and"
+                           else (composed, Output(1)))
+                composed = _remap(tr, _SAME_NAMES, 0, outputs)
             if query_cost(composed) == c:
                 for use in part_rules:
                     _note(rules, use)
@@ -467,17 +457,19 @@ def _build_impl(f: TruthTable, rules: list):
     if route is None:
         raise RuntimeError("internal: no construction achieves cost %d for %s"
                            % (c, f.to_hex_text()))
-    route = _queries_in_order(n)[route]
-    gone = route[-1]  # the variable the residuals no longer read
-    mapping = {v: (v if v < gone else v + 1) for v in range(1, n)}
-    t0 = _remap(_build(_residual(f, route, 0), rules), mapping, 0)
-    t1 = _remap(_build(_residual(f, route, 1), rules), mapping, 0)
-    if route[0] == "cq":
+    r0, r1 = (TruthTable(n - 1, int.from_bytes(row.tobytes(), "little"))
+              for row in _gather(f, _route_index(n)[route]))
+    kind, *args = _queries_in_order(n)[route]
+    gone = args[-1]  # the variable the residuals no longer read
+    rest = names[:gone - 1] + names[gone:]
+    t0 = _build(r0, rest, rules)
+    t1 = _build(r1, rest, rules)
+    if kind == "cq":
         _note(rules, RuleUse("R6", "adaptive search, classical branch"))
-        return ClassicalQuery(gone, t0, t1)
+        return ClassicalQuery(names[gone - 1], t0, t1)
     _note(rules, RuleUse("R6", "adaptive search, xor branch",
                          CITE_XOR_GADGET))
-    return XorQuery(route[1], gone, t0, t1)
+    return XorQuery(names[args[0] - 1], names[gone - 1], t0, t1)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +505,7 @@ def synthesize(f: TruthTable) -> Certificate:
         raise ValueError("synthesis supports arity <= %d, got %d"
                          % (ENGINE_MAX_ARITY, f.arity))
     rules: list = []
-    tree = _build(f, rules)
+    tree = _build(f, tuple(range(1, f.arity + 1)), rules)
     claimed = query_cost(tree)
     want = _cost_of(f)
     if claimed != want:
@@ -725,9 +717,8 @@ def _table_from_json(obj) -> TruthTable:
     f = parse_function(obj["table"])
     n = _json_int(obj["arity"], "function arity")
     if f.arity != n:
-        if f.arity > n:
-            raise ValueError("table wider than declared arity")
-        raise ValueError("table narrower than declared arity")
+        raise ValueError("table %s than declared arity"
+                         % ("wider" if f.arity > n else "narrower"))
     return f
 
 
@@ -748,13 +739,21 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj) -> Certificate:
-    if obj.get("kind") != "certificate":
+    if not isinstance(obj, dict) or obj.get("kind") != "certificate":
         raise ValueError("not a certificate document")
+    used, level = obj.get("rulesUsed", []), obj["level"]
+    optimal = obj.get("optimal", False)
+    if not isinstance(used, list) or not all(
+            isinstance(r, dict) and isinstance(r.get("rule"), str)
+            for r in used):
+        raise ValueError("rulesUsed must list objects with a string rule")
+    if not isinstance(level, str):
+        raise ValueError("level must be a string, got %r" % (level,))
+    if not isinstance(optimal, bool):
+        raise ValueError("optimal must be true or false, got %r" % (optimal,))
     rules = tuple(RuleUse(r["rule"], r.get("detail", ""), r.get("citation"))
-                  for r in obj.get("rulesUsed", ()))
+                  for r in used)
     return Certificate(_table_from_json(obj["function"]),
                        program_from_json(obj["program"]),
                        _json_int(obj["claimedQueries"], "claimedQueries"),
-                       obj["level"],
-                       rules,
-                       bool(obj.get("optimal", False)))
+                       level, rules, optimal)

@@ -401,6 +401,49 @@ def test_simulate_rejects_malformed_values(tmp_path, capsys, case):
     assert err.count("\n") == 1
 
 
+# a mistyped value for each field the loader takes as written
+MISTYPED_FIELDS = [
+    ("optimal", "no"), ("optimal", 1), ("optimal", None),
+    ("level", 3), ("level", None), ("level", ["FullySimulated"]),
+    ("rulesUsed", "R3"), ("rulesUsed", {"rule": "R3"}),
+    ("rulesUsed", [["R3"]]), ("rulesUsed", [{"detail": "chain"}]),
+    ("rulesUsed", [{"rule": 3}]),
+]
+
+
+@pytest.mark.parametrize("field, value", MISTYPED_FIELDS)
+def test_certificate_loader_rejects_mistyped_fields(field, value):
+    obj = certificate_to_json(synthesize(table_parity(3)))
+    obj[field] = value
+    with pytest.raises(ValueError, match=field):
+        certificate_from_json(obj)
+
+
+@pytest.mark.parametrize("doc", [[], "certificate", 5, None])
+def test_certificate_loader_rejects_non_objects(doc):
+    with pytest.raises(ValueError, match="not a certificate document"):
+        certificate_from_json(doc)
+
+
+def test_certificate_loader_reads_optimal_as_written():
+    obj = certificate_to_json(synthesize(table_parity(3)))
+    for optimal in (True, False):
+        obj["optimal"] = optimal
+        assert certificate_from_json(obj).optimal is optimal
+    del obj["optimal"], obj["rulesUsed"]
+    cert = certificate_from_json(obj)
+    assert cert.optimal is False and cert.rules_used == ()
+
+
+def test_simulate_rejects_a_string_optimal(tmp_path, capsys):
+    obj = _ub_certificate()
+    obj["optimal"] = "no"
+    rc, out, err = run_cli(capsys, "simulate", _write(tmp_path, "c.json", obj))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: not a valid certificate file: optimal")
+    assert err.count("\n") == 1
+
+
 @functools.cache
 def _fuzz_bases():
     """Valid certificate documents, one per program node kind and level."""

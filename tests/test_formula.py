@@ -79,6 +79,9 @@ def test_parse_precedence_and_shape():
 def test_parse_flattens_and_sorts():
     assert parse_formula("x1&(x2&x3)") == parse_formula("(x3&x1)&x2")
     assert parse_formula("x2|x1") == parse_formula("x1 | x2")
+    # children that share a least variable sort by their text
+    assert parse_formula("(x1|x3)&(x1|x2)") == parse_formula("(x1|x2)&(x1|x3)")
+    assert to_text(parse_formula("~x1|x1")) == "(x1 | ~x1)"
 
 
 def test_parse_pushes_negation_down():

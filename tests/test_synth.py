@@ -189,6 +189,14 @@ def test_cost_is_npn_invariant(n, rnd):
     assert query_complexity(f) == query_complexity(_random_npn(rnd, n).apply(f))
 
 
+def _reference_residual(f, route, b):
+    """f after the route's query answered b: x_p = b for ("cq", p),
+    x_i xor x_j = b for ("xor", i, j)."""
+    if route[0] == "cq":
+        return f.restrict(route[1], b)
+    return f.substitute_xor(route[1], route[2], b)
+
+
 def test_route_index_gathers_the_residuals():
     rng = random.Random(11)
     for n in range(2, 10):
@@ -201,22 +209,26 @@ def test_route_index_gathers_the_residuals():
             for r, route in enumerate(routes):
                 for b in (0, 1):
                     got = TruthTable.from_values(vals[index[r, b]].tolist())
-                    assert got == synth._residual(f, route, b), (f, route, b)
+                    want = _reference_residual(f, route, b)
+                    assert got == want, (f, route, b)
+                    row = synth._gather(f, index[r, b]).tobytes()
+                    assert TruthTable(n - 1, int.from_bytes(
+                        row, "little")) == want, (f, route, b)
 
 
-def _reference_route_search(t):
-    """The route search as a loop over `_residual` and `_cost_of`: stop at
+def _reference_route_search(t, best):
+    """The route search as a loop over residuals and `_cost_of`: stop at
     ceil(deg/2), price s1 only when s0 fits, keep the first strict gain."""
     n = t.arity
     lb = max(1, (t.degree() + 1) // 2)
-    best = n - 1 if synth._nae_pattern(t) is not None else n
     witness = None
     if best > lb:
         for idx, route in enumerate(synth._queries_in_order(n)):
-            s0 = synth._cost_of(synth._residual(t, route, 0))
+            s0 = synth._cost_of(_reference_residual(t, route, 0))
             if 1 + s0 >= best:
                 continue
-            cand = 1 + max(s0, synth._cost_of(synth._residual(t, route, 1)))
+            s1 = synth._cost_of(_reference_residual(t, route, 1))
+            cand = 1 + max(s0, s1)
             if cand < best:
                 best, witness = cand, idx
                 if best <= lb:
@@ -248,11 +260,45 @@ def test_route_search_matches_the_reference_loop():
     low = [_two_xor_levels(rnd, n) for n in (5, 6) for _ in range(6)]
     for t in tables + nae + low:
         assert t.support() == tuple(range(1, t.arity + 1))
-        assert synth._route_search(t) == _reference_route_search(t), t
+        best = t.arity - 1 if synth._nae_pattern(t) is not None else t.arity
+        assert (synth._route_search(t, best)
+                == _reference_route_search(t, best)), t
     for t in nae:
-        assert synth._route_search(t) == (t.arity - 1, None)
+        assert synth._route_search(t, t.arity - 1) == (t.arity - 1, None)
     for t in low:
-        assert synth._route_search(t)[0] == 2 == (t.degree() + 1) // 2
+        assert synth._route_search(t, t.arity)[0] == 2 == (t.degree() + 1) // 2
+
+
+def _first_fit(f, c):
+    """Reference first-fit scan: the first route whose residuals both cost
+    less than c, or None."""
+    for idx, route in enumerate(synth._queries_in_order(f.arity)):
+        if all(synth._cost_of(_reference_residual(f, route, b)) < c
+               for b in (0, 1)):
+            return idx
+    return None
+
+
+def test_table_witness_is_the_first_fitting_route():
+    for n in (3, 4):
+        for bits in range(1 << (1 << n)):
+            t = TruthTable(n, bits)
+            if len(t.support()) == n:
+                c, witness = synth._price(t)
+                assert witness == _first_fit(t, c), t
+
+
+def test_tie_query_is_the_first_fitting_route():
+    # threshold(n,2), threshold(n,n-1) and exact(n,1) images tie their
+    # class count with a route; exact(n,n//2) images beat every route
+    found = set()
+    for f in image_population():
+        c = query_complexity(f)
+        assert synth._price(f) == (c, None)
+        witness = synth._route_search(f, c + 1, c)[1]
+        assert witness == _first_fit(f, c), f
+        found.add(witness is None)
+    assert found == {False, True}
 
 
 # ---------------------------------------------------------------------------
@@ -775,12 +821,47 @@ FROZEN_CERTIFICATES_SHA256 = (
     "26be11738cde0418e69c0938fc6b9600e7f92fe17a1749fb5b6f2929426b88e5")
 
 
-def test_certificate_json_frozen():
+def _certificate_digest(certs) -> str:
     digest = hashlib.sha256()
-    for f in frozen_population():
-        blob = json.dumps(certificate_to_json(synthesize(f)), sort_keys=True)
+    for cert in certs:
+        blob = json.dumps(certificate_to_json(cert), sort_keys=True)
         digest.update(blob.encode() + b"\n")
-    assert digest.hexdigest() == FROZEN_CERTIFICATES_SHA256
+    return digest.hexdigest()
+
+
+def test_certificate_json_frozen():
+    digest = _certificate_digest(synthesize(f) for f in frozen_population())
+    assert digest == FROZEN_CERTIFICATES_SHA256
+
+
+def image_population():
+    """Seeded NPN images, one with and one without output negation, at
+    n=5..7 of the counting classes where a route ties the class count
+    (threshold(n,2), threshold(n,n-1), exact(n,1)) or loses to it
+    (exact(n,n//2))."""
+    rnd = random.Random(20140612)
+    for n in (5, 6, 7):
+        for table, k in ((table_threshold, 2), (table_threshold, n - 1),
+                         (table_exact, 1), (table_exact, n // 2)):
+            for neg in (0, 1):
+                t = NpnTransform(tuple(rnd.sample(range(n), n)),
+                                 rnd.randrange(1, 1 << n), neg)
+                yield t.apply(table(n, k))
+
+
+# sha256 of the certificate JSON for image_population(), then for every
+# 4-bit table whose certificate uses sequential composition (R5), in
+# table order; recorded before the builder stopped scanning routes
+FROZEN_IMAGE_CERTIFICATES_SHA256 = (
+    "d57e42b252da3d4c0cecab090b81a61b9b31bfcf3d61b947ad712f8d0f1e12f4")
+
+
+def test_image_certificates_frozen():
+    certs = [synthesize(f) for f in image_population()]
+    four = (synthesize(TruthTable(4, bits)) for bits in range(1 << 16))
+    certs += [cert for cert in four
+              if any(use.rule == "R5" for use in cert.rules_used)]
+    assert _certificate_digest(certs) == FROZEN_IMAGE_CERTIFICATES_SHA256
 
 
 def test_synthesis_adds_no_engine_entries():
