@@ -6,9 +6,11 @@ the restricted function. On top of that sit literature-backed leaves for
 function classes whose exact quantum query complexity is known to beat
 this space (EXACT/threshold counting classes and the two-query
 three-variable and-or function). Costs for all functions of arity at
-most 4 are tabulated in full; larger arities are solved on demand with
-memoization. Tables and memo keep the first route that reached each
-cost, and the program builder replays it instead of choosing one.
+most 4 are tabulated in full; larger arities are searched on demand, up
+to arity 7 by pricing every route at once and above it route by route
+over a memo of the tables of arity 7 or more. Tables and search keep
+the first route that reached each cost, and the program builder
+replays it instead of choosing one.
 
 A synthesized certificate carries the program, its claimed query count,
 the rules that produced it, and enough structure for an independent
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfun import (NpnTransform, TruthTable, _flip_images, _restrict_bits,
-                      _var_masks, table_parity)
+                      _var_masks, table_nae, table_parity)
 from .formula import _split, _unate
 from .qprogram import (AxiomLeaf, ClassicalQuery, Output, XorQuery,
                        axiom_citation, axiom_queries,
@@ -50,6 +52,9 @@ __all__ = [
 
 ENGINE_ARRAY_MAX = 4
 ENGINE_MAX_ARITY = 12
+# the widest residual priced in one batch of gathers, and so the widest
+# table the engine prices without `_cost_memo`
+_BATCH_MAX = 6
 
 CITE_XOR_GADGET = ("Cleve, Ekert, Macchiavello and Mosca 1998: one exact "
                    "query evaluates x_i xor x_j")
@@ -188,12 +193,12 @@ def _cost_arrays() -> list:
 
 
 # ---------------------------------------------------------------------------
-# cost engine, memoized part
+# cost engine, searched part
 
 
-# (arity, bits) -> (cost, witness): the witness is the index in
-# _queries_in_order of the first route reaching the cost, None when a
-# closed form set it
+# (arity, bits) -> (cost, witness) of tables wider than _BATCH_MAX: the
+# witness is the index in _queries_in_order of the first route reaching
+# the cost, None when a closed form set it
 _cost_memo: dict[tuple[int, int], tuple[int, int | None]] = {}
 
 
@@ -244,30 +249,106 @@ def _price(t: TruthTable) -> tuple[int, int | None]:
         info = _symmetric_axiom(t)
         got = ((info[2], None) if info is not None else
                _route_search(t, n - 1 if _nae_pattern(t) is not None else n))
-    _cost_memo[key] = got
+    if n > _BATCH_MAX:
+        _cost_memo[key] = got
     return got
+
+
+# byte order and width of the code of a 2**m-entry table, m = 4..6
+_CODE_DTYPE = {16: "<u2", 32: "<u4", 64: "<u8"}
+
+
+def _codes(rows: np.ndarray) -> np.ndarray:
+    """Codes of the tables of arity 4..6 whose bits lie along the last
+    axis of `rows`, packed in one flat pass."""
+    flat = np.packbits(rows, axis=None, bitorder="little")
+    return flat.view(_CODE_DTYPE[rows.shape[-1]]).reshape(rows.shape[:-1])
+
+
+@functools.cache
+def _closed_forms(m: int) -> tuple:
+    """(codes, costs, overrides) of the full-support arity-m tables that
+    `_price` settles by a closed form, codes sorted: parity and the
+    counting classes set the cost, an NAE pattern caps the routes at
+    m - 1. The candidates are the flip images of each representative and
+    their complements, which make up their whole NPN orbits."""
+    reps = [table_parity(m), table_nae(m)]
+    reps += [axiom_rep_table(class_id, m, k)
+             for class_id, ks in (("exact", range(m + 1)),
+                                  ("threshold", range(1, m + 1)))
+             for k in ks]
+    imgs = _flip_images(np.array([r.bits for r in reps], dtype=np.uint64), m)
+    full = (1 << (1 << m)) - 1
+    entries = []
+    for code in sorted({c ^ neg for c in map(int, imgs.ravel())
+                        for neg in (0, full)}):
+        t = TruthTable(m, code)
+        info = _symmetric_axiom(t)
+        if _parity_pattern(t) is not None:
+            entries.append((code, (m + 1) // 2, True))
+        elif info is not None:
+            entries.append((code, info[2], True))
+        elif _nae_pattern(t) is not None:
+            entries.append((code, m - 1, False))
+    codes, costs, overrides = zip(*entries)
+    return (np.array(codes, dtype=_CODE_DTYPE[1 << m]),
+            np.array(costs, dtype=np.uint8), np.array(overrides))
+
+
+def _route_costs(rows: np.ndarray) -> np.ndarray:
+    """Cost of every route of the arity-m tables (ENGINE_ARRAY_MAX < m
+    <= _BATCH_MAX + 1) whose bits lie along the last axis of `rows`, along
+    a new last axis in `_queries_in_order(m)` order. A classical route on
+    a dead variable costs its residual, not one query more."""
+    m = rows.shape[-1].bit_length() - 1
+    kids = rows[..., _route_index(m)]
+    codes = _codes(kids)
+    s = _price_rows(kids, codes)
+    cost = 1 + np.maximum(s[..., 0], s[..., 1])
+    # a classical route on a dead variable reads one residual twice
+    cost[..., -m:] -= codes[..., -m:, 0] == codes[..., -m:, 1]
+    return cost
+
+
+def _price_rows(rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """`_cost_of` of every arity-m table (ENGINE_ARRAY_MAX <= m <=
+    _BATCH_MAX) whose bits lie along the last axis of `rows` and whose
+    codes `codes` holds: the route minimum, with the closed forms of
+    `_price` on top."""
+    m = rows.shape[-1].bit_length() - 1
+    if m <= ENGINE_ARRAY_MAX:
+        return _cost_arrays()[m][0][codes]
+    best = _route_costs(rows).min(axis=-1)
+    keys, costs, overrides = _closed_forms(m)
+    at = np.searchsorted(keys, codes)
+    hit = keys.take(at, mode="clip") == codes
+    if hit.any():
+        c, over = costs.take(at, mode="clip"), overrides.take(at, mode="clip")
+        best = np.where(hit, np.where(over, c, np.minimum(best, c)), best)
+    return best
 
 
 def _route_search(t: TruthTable, best: int,
                   lb: int | None = None) -> tuple[int, int | None]:
     """(cost, witness) of the first cheapest route of a full-support table
     of arity > ENGINE_ARRAY_MAX that costs less than `best`, else (best,
-    None); it stops at the first route reaching `lb`, by default
-    ceil(deg/2), which no route beats. The residuals come from one gather."""
+    None).
+
+    Up to arity _BATCH_MAX + 1 every route is priced at once; no route
+    beats ceil(deg/2) or an axiom count, so the first cheapest route is
+    the one a search stopping there would keep. Above it the routes are
+    priced in order, each residual by `_cost_of`, stopping at the first
+    route reaching `lb`, by default ceil(deg/2)."""
     n = t.arity
-    packed = _gather(t, _route_index(n))
-    if n == ENGINE_ARRAY_MAX + 1:
-        # the residuals are 16-bit tables, priced all at once; no route
-        # beats `lb`, so the first cheapest route is the one a search
-        # stopping at it would keep
-        s = _cost_arrays()[ENGINE_ARRAY_MAX][0][packed.view("<u2")[..., 0]]
-        cand = 1 + s.max(axis=1)
-        r = int(cand.argmin())
-        return (int(cand[r]), r) if cand[r] < best else (best, None)
+    if n <= _BATCH_MAX + 1:
+        cost = _route_costs(t.values())
+        r = int(cost.argmin())
+        return (int(cost[r]), r) if cost[r] < best else (best, None)
     if lb is None:
         lb = max(1, (t.degree() + 1) // 2)
     witness = None
     if best > lb:
+        packed = _gather(t, _route_index(n))
         raw, nbytes = packed.tobytes(), packed.shape[-1]
 
         def cost(k: int) -> int:
@@ -378,6 +459,9 @@ def _build(f: TruthTable, names: tuple, rules: list, flips: int = 0):
     tree, used = _build_small(f.arity, f.bits)
     for use in used:
         _note(rules, use)
+    # increasing names are the identity exactly when the last one is k
+    if not flips and (not names or names[-1] == f.arity):
+        return tree
     return _remap(tree, names, flips)
 
 
@@ -753,6 +837,13 @@ def certificate_from_json(obj) -> Certificate:
         raise ValueError("optimal must be true or false, got %r" % (optimal,))
     rules = tuple(RuleUse(r["rule"], r.get("detail", ""), r.get("citation"))
                   for r in used)
+    for r in rules:
+        if not isinstance(r.detail, str):
+            raise ValueError("rulesUsed detail must be a string, got %r"
+                             % (r.detail,))
+        if r.citation is not None and not isinstance(r.citation, str):
+            raise ValueError("rulesUsed citation must be a string or null, "
+                             "got %r" % (r.citation,))
     return Certificate(_table_from_json(obj["function"]),
                        program_from_json(obj["program"]),
                        _json_int(obj["claimedQueries"], "claimedQueries"),

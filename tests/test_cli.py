@@ -408,6 +408,12 @@ MISTYPED_FIELDS = [
     ("rulesUsed", "R3"), ("rulesUsed", {"rule": "R3"}),
     ("rulesUsed", [["R3"]]), ("rulesUsed", [{"detail": "chain"}]),
     ("rulesUsed", [{"rule": 3}]),
+    ("rulesUsed", [{"rule": "R9", "detail": [1, {"a": 2}]}]),
+    ("rulesUsed", [{"rule": "R9", "detail": None}]),
+    ("rulesUsed", [{"rule": "R9", "detail": 7}]),
+    ("rulesUsed", [{"rule": "R9", "citation": 7}]),
+    ("rulesUsed", [{"rule": "R9", "detail": "chain", "citation": ["x"]}]),
+    ("rulesUsed", [{"rule": "R9", "citation": False}]),
 ]
 
 
@@ -433,6 +439,26 @@ def test_certificate_loader_reads_optimal_as_written():
     del obj["optimal"], obj["rulesUsed"]
     cert = certificate_from_json(obj)
     assert cert.optimal is False and cert.rules_used == ()
+
+
+def test_certificate_loader_reads_rules_as_written():
+    obj = certificate_to_json(synthesize(table_parity(3)))
+    obj["rulesUsed"] = [{"rule": "R9"},
+                        {"rule": "R3", "detail": "x", "citation": None},
+                        {"rule": "R4", "detail": "", "citation": "ref"}]
+    assert [(r.rule, r.detail, r.citation)
+            for r in certificate_from_json(obj).rules_used] == [
+        ("R9", "", None), ("R3", "x", None), ("R4", "", "ref")]
+
+
+def test_simulate_rejects_a_mistyped_rule(tmp_path, capsys):
+    obj = _ub_certificate()
+    obj["rulesUsed"] = [{"rule": "R9", "detail": [1, {"a": 2}],
+                         "citation": 7}]
+    rc, out, err = run_cli(capsys, "simulate", _write(tmp_path, "c.json", obj))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: not a valid certificate file: rulesUsed")
+    assert err.count("\n") == 1
 
 
 def test_simulate_rejects_a_string_optimal(tmp_path, capsys):

@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,18 +217,56 @@ def test_route_index_gathers_the_residuals():
                         row, "little")) == want, (f, route, b)
 
 
+_REFERENCE_PRICES: dict = {}
+
+
+def _reference_price(f):
+    """(cost, witness) of f, table by table from first principles: drop
+    dead variables; read the tables at n <= 4; then parity, the axiom
+    class and the NAE start cost n - 1; then the first cheapest route,
+    each residual made by `_reference_residual` and priced by recursion.
+    A route that only ties the start cost keeps no witness."""
+    f, _ = f.drop_dead()
+    n = f.arity
+    if n <= synth.ENGINE_ARRAY_MAX:
+        cost, witness = synth._cost_arrays()[n]
+        w = int(witness[f.bits])
+        return int(cost[f.bits]), (None if w == synth._NO_ROUTE else w)
+    key = (n, f.bits)
+    if key in _REFERENCE_PRICES:
+        return _REFERENCE_PRICES[key]
+    info = synth._symmetric_axiom(f)
+    if synth._parity_pattern(f) is not None:
+        got = ((n + 1) // 2, None)
+    elif info is not None:
+        got = (info[2], None)
+    else:
+        start = n - 1 if synth._nae_pattern(f) is not None else n
+        costs = [1 + max(_reference_price(_reference_residual(f, route, b))[0]
+                         for b in (0, 1))
+                 for route in synth._queries_in_order(n)]
+        best = min(costs)
+        got = (best, costs.index(best)) if best < start else (start, None)
+    _REFERENCE_PRICES[key] = got
+    return got
+
+
+def _reference_cost(f):
+    return _reference_price(f)[0]
+
+
 def _reference_route_search(t, best):
-    """The route search as a loop over residuals and `_cost_of`: stop at
-    ceil(deg/2), price s1 only when s0 fits, keep the first strict gain."""
+    """The route search as a loop over residuals: stop at ceil(deg/2),
+    price s1 only when s0 fits, keep the first strict gain."""
     n = t.arity
     lb = max(1, (t.degree() + 1) // 2)
     witness = None
     if best > lb:
         for idx, route in enumerate(synth._queries_in_order(n)):
-            s0 = synth._cost_of(_reference_residual(t, route, 0))
+            s0 = _reference_cost(_reference_residual(t, route, 0))
             if 1 + s0 >= best:
                 continue
-            s1 = synth._cost_of(_reference_residual(t, route, 1))
+            s1 = _reference_cost(_reference_residual(t, route, 1))
             cand = 1 + max(s0, s1)
             if cand < best:
                 best, witness = cand, idx
@@ -269,11 +308,67 @@ def test_route_search_matches_the_reference_loop():
         assert synth._route_search(t, t.arity)[0] == 2 == (t.degree() + 1) // 2
 
 
+def _with_dead(rnd, g, n):
+    """g read on n variables, the n - g.arity others dead."""
+    keep = sorted(rnd.sample(range(n), g.arity))
+    return TruthTable.from_values(
+        [g.value(sum(((x >> v) & 1) << i for i, v in enumerate(keep)))
+         for x in range(1 << n)])
+
+
+def _pricer_population(rnd, m):
+    """Arity-m tables: every flip image of the parity, NAE, EXACT and
+    threshold representatives and their complements (every table a
+    closed form prices), one-bit neighbours of EXACT images, tables with
+    one or two dead variables, the constants and random tables."""
+    full = (1 << (1 << m)) - 1
+    reps = ([table_parity(m), table_nae(m)]
+            + [table_exact(m, k) for k in range(m + 1)]
+            + [table_threshold(m, k) for k in range(1, m + 1)])
+    closed = {NpnTransform(tuple(range(m)), flips, 0).apply(r).bits ^ neg
+              for r in reps for flips in range(1 << m) for neg in (0, full)}
+    tables = [TruthTable(m, bits) for bits in sorted(closed)]
+    for k in range(m + 1):
+        for _ in range(3):
+            img = _random_npn(rnd, m).apply(table_exact(m, k))
+            point = rnd.randrange(1 << m)
+            tables.append(TruthTable(m, img.bits ^ (1 << point)))
+    for dead in (1, 2):
+        for _ in range(15):
+            g = TruthTable(m - dead, rnd.getrandbits(1 << (m - dead)))
+            tables.append(_with_dead(rnd, g, m))
+    tables += [TruthTable(m, 0), TruthTable(m, full)]
+    tables += [TruthTable(m, rnd.getrandbits(1 << m))
+               for _ in range(60 if m == 5 else 30)]
+    return tables, closed
+
+
+def test_batched_pricer_matches_reference():
+    rnd = random.Random(13)
+    for m in (5, 6):
+        tables, closed = _pricer_population(rnd, m)
+        rows = np.array([t.values() for t in tables])
+        got = synth._price_rows(rows, synth._codes(rows))
+        want = [_reference_cost(t) for t in tables]
+        assert got.tolist() == want, m
+        for t, cost in zip(tables, want):
+            assert synth._cost_of(t) == cost, t
+            if len(t.support()) == m:
+                assert synth._price(t) == _reference_price(t), t
+        # no route beats a closed form: overriding the routes with it is
+        # taking the minimum, and the first cheapest route is the one a
+        # search stopping at the closed form's count keeps
+        is_closed = np.array([t.bits in closed for t in tables])
+        routes = synth._route_costs(rows).min(axis=-1)
+        assert (routes[is_closed] >= got[is_closed]).all(), m
+        assert len(synth._closed_forms(m)[0]) == len(closed)
+
+
 def _first_fit(f, c):
     """Reference first-fit scan: the first route whose residuals both cost
     less than c, or None."""
     for idx, route in enumerate(synth._queries_in_order(f.arity)):
-        if all(synth._cost_of(_reference_residual(f, route, b)) < c
+        if all(_reference_cost(_reference_residual(f, route, b)) < c
                for b in (0, 1)):
             return idx
     return None
@@ -866,10 +961,13 @@ def test_image_certificates_frozen():
 
 def test_synthesis_adds_no_engine_entries():
     rng = random.Random(5)
-    for n, count in ((5, 20), (6, 6), (7, 2)):
+    for n, count in ((5, 20), (6, 6), (7, 2), (8, 1)):
         for _ in range(count):
             f = TruthTable(n, rng.getrandbits(1 << n))
+            before = len(synth._cost_memo)
             query_complexity(f)
+            if n < 7:  # below arity 7 the engine keeps no memo
+                assert len(synth._cost_memo) == before, f
             before = len(synth._cost_memo)
             synthesize(f)
             assert len(synth._cost_memo) == before, f
