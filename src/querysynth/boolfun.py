@@ -99,20 +99,27 @@ def _pack_values(values: np.ndarray) -> int:
     return int.from_bytes(raw, "little")
 
 
-def _restrict_bits(bits: int, n: int, p: int, b: int) -> int:
-    """Fix bit position p of the input code to b and compact to arity n-1."""
+@functools.cache
+def _compaction_masks(n: int) -> list[tuple[int, int, int]]:
+    """Entry p is (a, s, a << s), with s = 2**p and a the codes m < 2**n
+    whose bits p and p + 1 are both 0: the block-pair merge that moves
+    bit p + 1 of the code down to bit p."""
     masks = _var_masks(n)
     full = (1 << (1 << n)) - 1
-    blk = 1 << p
+    got = []
+    for p in range(n - 1):
+        a = ~masks[p] & ~masks[p + 1] & full
+        got.append((a, 1 << p, a << (1 << p)))
+    return got
+
+
+def _restrict_bits(bits: int, n: int, p: int, b: int) -> int:
+    """Fix bit position p of the input code to b and compact to arity n-1."""
     if b:
-        bits >>= blk
+        bits >>= 1 << p
     # entries now sit where bit p of the code is 0; merge block pairs upward
-    cur = p
-    while cur < n - 1:
-        s = 1 << cur
-        a = ~masks[cur] & ~masks[cur + 1] & full
-        bits = (bits & a) | ((bits >> s) & (a << s))
-        cur += 1
+    for a, s, high in _compaction_masks(n)[p:]:
+        bits = (bits & a) | ((bits >> s) & high)
     return bits & ((1 << (1 << (n - 1))) - 1)
 
 

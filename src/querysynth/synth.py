@@ -441,6 +441,16 @@ def _and_iso_chain(f: TruthTable, names: tuple) -> ClassicalQuery:
 
 
 @functools.cache
+def _class_ties(class_id: str, n: int, k: int) -> bool:
+    """Whether a route of an arity-n counting class ties its count. NPN
+    transforms map routes to routes and keep the engine's cost, so the
+    class representative answers for every image."""
+    q = axiom_queries(class_id, n, k)
+    rep = axiom_rep_table(class_id, n, k)
+    return _route_search(rep, q + 1, q)[1] is not None
+
+
+@functools.cache
 def _build_small(n: int, bits: int) -> tuple:
     """(tree, rules) of an arity <= 3 table: small residuals recur across
     many functions."""
@@ -449,12 +459,14 @@ def _build_small(n: int, bits: int) -> tuple:
     return tree, tuple(rules)
 
 
-def _build(f: TruthTable, names: tuple, rules: list, flips: int = 0):
+def _build(f: TruthTable, names: tuple, rules: list, flips: int = 0,
+           price=None):
     """Program for f that reads f's variable x_v as x_{names[v - 1]} (the
     names increase with v), each input x_w with bit w - 1 of `flips` set
-    negated."""
+    negated. `price`, when given, is `_price` of f without its dead
+    variables."""
     if f.arity > 3:
-        tree = _build_impl(f, names, rules)
+        tree = _build_impl(f, names, rules, price)
         return _remap(tree, _SAME_NAMES, flips) if flips else tree
     tree, used = _build_small(f.arity, f.bits)
     for use in used:
@@ -465,7 +477,7 @@ def _build(f: TruthTable, names: tuple, rules: list, flips: int = 0):
     return _remap(tree, names, flips)
 
 
-def _build_impl(f: TruthTable, names: tuple, rules: list):
+def _build_impl(f: TruthTable, names: tuple, rules: list, price=None):
     n = f.arity
     if f.is_constant():
         _note(rules, RuleUse("R0", "constant output"))
@@ -475,12 +487,13 @@ def _build_impl(f: TruthTable, names: tuple, rules: list):
         sub, kept = f.drop_dead()
         _note(rules, RuleUse("R1", "dropped %d dead variable(s)"
                              % (n - len(kept))))
-        return _build(sub, tuple(names[v - 1] for v in kept), rules)
+        return _build(sub, tuple(names[v - 1] for v in kept), rules,
+                      price=price)
     if f.is_and_isomorphic():
         _note(rules, RuleUse("R2", "classical chain, optimal for functions "
                              "with a unique deciding input", CITE_AND_OR))
         return _and_iso_chain(f, names)
-    c, route = _price(f)
+    c, route = _price(f) if price is None else price
     inv = _parity_pattern(f)
     if inv is not None:
         assert c == (n + 1) // 2
@@ -493,12 +506,13 @@ def _build_impl(f: TruthTable, names: tuple, rules: list):
                              "equality-to-pattern test", CITE_XOR_GADGET))
         anchor, match = nae
         return _remap(nae_program(n, bool(match), anchor), names, 0)
-    if route is None and n > ENGINE_ARRAY_MAX:
-        # an axiom class, priced by its formula: the first route that
-        # ties its count, if any, is built instead of the leaf
+    info = _axiom_class_of(f) if route is None else None
+    if (info is not None and n > ENGINE_ARRAY_MAX
+            and _class_ties(info[0], n, info[1])):
+        # an axiom class, priced by its formula: f's first route that
+        # ties its count is built instead of the leaf
         route = _route_search(f, c + 1, c)[1]
     if route is None:
-        info = _axiom_class_of(f)
         if info is not None and info[2] == c:
             class_id, k, q = info
             rule = "R4" if class_id == "and_or_3" else "R3"
@@ -582,6 +596,16 @@ def _known_lower_bound(f: TruthTable) -> int:
     return lb
 
 
+def _meets_lower_bound(t: TruthTable, claimed: int) -> bool:
+    """claimed == _known_lower_bound(t) for a table t without dead
+    variables. Its degree is at most its arity, so above half of it only
+    an axiom class count can meet the claim, and the degree is skipped."""
+    if claimed > (t.arity + 1) // 2:
+        info = _axiom_class_of(t)
+        return info is not None and info[2] == claimed
+    return claimed == _known_lower_bound(t)
+
+
 def synthesize(f: TruthTable) -> Certificate:
     """Build a certified program for f with the fewest queries the engine
     can realize."""
@@ -589,14 +613,15 @@ def synthesize(f: TruthTable) -> Certificate:
         raise ValueError("synthesis supports arity <= %d, got %d"
                          % (ENGINE_MAX_ARITY, f.arity))
     rules: list = []
-    tree = _build(f, tuple(range(1, f.arity + 1)), rules)
+    t, _ = f.drop_dead()
+    price = _price(t)
+    tree = _build(f, tuple(range(1, f.arity + 1)), rules, price=price)
     claimed = query_cost(tree)
-    want = _cost_of(f)
-    if claimed != want:
+    if claimed != price[0]:
         raise RuntimeError("internal: built %d-query program, engine "
-                           "promised %d" % (claimed, want))
+                           "promised %d" % (claimed, price[0]))
     return Certificate(f, tree, claimed, classify_level(tree), tuple(rules),
-                       claimed == _known_lower_bound(f))
+                       _meets_lower_bound(t, claimed))
 
 
 # ---------------------------------------------------------------------------

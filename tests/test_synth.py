@@ -396,6 +396,82 @@ def test_tie_query_is_the_first_fitting_route():
     assert found == {False, True}
 
 
+def _counting_classes(n):
+    return ([("exact", n, k) for k in range(n + 1)]
+            + [("threshold", n, k) for k in range(1, n + 1)])
+
+
+def test_class_tie_answer_matches_image_search():
+    # whether a route ties the class count is asked once per class; every
+    # image, with or without output negation, must give the same answer
+    rnd = random.Random(20141404)
+    classes = [c for n in (5, 6, 7) for c in _counting_classes(n)]
+    classes += [("exact", 8, 4), ("threshold", 8, 5)]
+    answers = set()
+    for class_id, n, k in classes:
+        q = axiom_queries(class_id, n, k)
+        ties = synth._class_ties(class_id, n, k)
+        for neg in (0, 1):
+            t = NpnTransform(tuple(rnd.sample(range(n), n)),
+                             rnd.randrange(1 << n), neg)
+            img = t.apply(axiom_rep_table(class_id, n, k))
+            assert ((synth._route_search(img, q + 1, q)[1] is not None)
+                    == ties), (class_id, n, k, neg)
+        answers.add(ties)
+    assert answers == {False, True}
+
+
+def test_root_is_priced_once(monkeypatch):
+    rnd = random.Random(20141405)
+    tables = [TruthTable(n, rnd.getrandbits(1 << n))
+              for n in (5, 5, 6, 6)]
+    tables.append(_with_dead(rnd, tables[-1], 7))
+    search = synth._route_search
+    calls = []
+
+    def counted(t, *args, **kwargs):
+        calls.append(t)
+        return search(t, *args, **kwargs)
+
+    monkeypatch.setattr(synth, "_route_search", counted)
+    for f in tables:
+        calls.clear()
+        synthesize(f)
+        root = f.drop_dead()[0]
+        assert root.arity in (5, 6)
+        assert calls.count(root) == 1, f
+
+
+def test_optimal_flag_matches_the_known_lower_bound():
+    # above half the support only an axiom class count can meet the
+    # claim, so the flag skips the degree there
+    for bits in range(1 << 16):
+        f = TruthTable(4, bits)
+        t, _ = f.drop_dead()
+        lb = synth._known_lower_bound(f)
+        for count in range(5):
+            assert synth._meets_lower_bound(t, count) == (count == lb), \
+                (f, count)
+    rnd = random.Random(20141406)
+    tables = [TruthTable(n, bits) for n in range(9)
+              for bits in (0, (1 << (1 << n)) - 1)]
+    tables += [TruthTable(n, rnd.getrandbits(1 << n))
+               for n, count in ((5, 20), (6, 6), (7, 2), (8, 1))
+               for _ in range(count)]
+    tables += [_random_npn(rnd, n).apply(axiom_rep_table(class_id, n, k))
+               for n in (5, 6) for class_id, _, k in _counting_classes(n)]
+    tables += [table_parity(n) for n in (5, 6, 7, 8)]
+    tables += [_random_npn(rnd, 8).apply(table_and(8)),
+               _with_dead(rnd, table_exact(6, 3), 8)]
+    flags = set()
+    for f in tables:
+        cert = synthesize(f)
+        want = cert.claimed_queries == synth._known_lower_bound(f)
+        assert cert.optimal == want, f
+        flags.add(want)
+    assert flags == {False, True}
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -971,6 +1047,16 @@ def test_synthesis_adds_no_engine_entries():
             before = len(synth._cost_memo)
             synthesize(f)
             assert len(synth._cost_memo) == before, f
+    # no route ties these classes, and the class answers that once
+    for class_id, k in (("exact", 4), ("threshold", 5)):
+        rep = axiom_rep_table(class_id, 8, k)
+        for second in (False, True):
+            f = _random_npn(rng, 8).apply(rep)
+            query_complexity(f)
+            before = len(synth._cost_memo)
+            synthesize(f)
+            if second:
+                assert len(synth._cost_memo) == before, f
 
 
 # ---------------------------------------------------------------------------
