@@ -306,22 +306,28 @@ class SimulationReport:
         }
 
 
+def _node_field_error(node, path: str):
+    """The message for a malformed field of an output, classical query or
+    xor gadget at `path`, else None."""
+    if isinstance(node, Output):
+        if node.bit not in (0, 1):
+            return "output at %s must be 0 or 1" % path
+    elif isinstance(node, ClassicalQuery):
+        if node.var < 1:
+            return ("classical query at %s reads x%d; variables start at x1"
+                    % (path, node.var))
+    elif isinstance(node, XorQuery):
+        if node.i == node.j or node.i < 1 or node.j < 1:
+            return "xor gadget at %s needs two distinct variables" % path
+
+
 def _validate_blocks(node, path: str):
     if isinstance(node, AxiomLeaf):
         raise ValueError("not simulatable: axiom leaf at %s" % path)
-    if isinstance(node, Output):
-        if node.bit not in (0, 1):
-            raise ValueError("output at %s must be 0 or 1" % path)
-    elif isinstance(node, ClassicalQuery):
-        if node.var < 1:
-            raise ValueError("classical query at %s reads x%d; variables "
-                             "start at x1" % (path, node.var))
-        _validate_blocks(node.child0, path + ".child0")
-        _validate_blocks(node.child1, path + ".child1")
-    elif isinstance(node, XorQuery):
-        if node.i == node.j or node.i < 1 or node.j < 1:
-            raise ValueError("xor gadget at %s needs two distinct "
-                             "variables" % path)
+    error = _node_field_error(node, path)
+    if error is not None:
+        raise ValueError(error)
+    if isinstance(node, (ClassicalQuery, XorQuery)):
         _validate_blocks(node.child0, path + ".child0")
         _validate_blocks(node.child1, path + ".child1")
     elif isinstance(node, UnitaryBlock):

@@ -412,7 +412,7 @@ def suite_sweep4(max_n=None, seed=0, jobs=1) -> SuiteReport:
     associatively, so the numbers cannot depend on the job count.
     """
     t0 = time.perf_counter()
-    synth._cost_arrays()
+    synth._cost_table(4)
     and_orbit(4)
     chunks = [(4, range(lo, lo + 1024)) for lo in range(0, 65536, 1024)]
     rec = _Recorder()
@@ -544,7 +544,7 @@ def suite_structural(max_n=None, seed=0, jobs=1) -> SuiteReport:
     max_n = 5 if max_n is None else max_n
     t0 = time.perf_counter()
     rec = _Recorder()
-    (costs3, _), (costs4, _) = synth._cost_arrays()[3:5]
+    costs3, costs4 = synth._cost_table(3)[0], synth._cost_table(4)[0]
     population = 0
 
     iso4 = and_orbit(4)
@@ -655,7 +655,7 @@ def suite_counting(max_n=None, seed=0, jobs=1) -> SuiteReport:
                       "n=%d one-point count %d != %d" % (n, cnt, 1 << (n + 1)))
         else:
             population += len(orbit)
-    four = int((synth._cost_arrays()[4][0] == 4).sum())
+    four = int((synth._cost_table(4)[0] == 4).sum())
     rec.check(four == 32, "engine says %d tables cost 4, expected 32" % four)
     return rec.report("counting", population, t0,
                       {"populationByArity": by_arity})

@@ -5,12 +5,13 @@ variable classically or spend one query on x_i xor x_j, then continue on
 the restricted function. On top of that sit literature-backed leaves for
 function classes whose exact quantum query complexity is known to beat
 this space (EXACT/threshold counting classes and the two-query
-three-variable and-or function). Costs for all functions of arity at
-most 4 are tabulated in full; larger arities are searched on demand, up
-to arity 7 by pricing every route at once and above it route by route
-over a memo of the tables of arity 7 or more. Tables and search keep
-the first route that reached each cost, and the program builder
-replays it instead of choosing one.
+three-variable and-or function). One pricer costs every route of a batch
+of tables up to arity 7 at once, and one closed-form rule (parity, the
+counting classes, NAE, the 3-bit two-query family) sets or caps the route
+minimum. It fills the cost tables up to arity 4 and prices wider tables on
+demand, above arity 7 route by route over a memo. Tables and search keep
+the first route that reached each cost, and the program builder replays
+it instead of choosing one.
 
 A synthesized certificate carries the program, its claimed query count,
 the rules that produced it, and enough structure for an independent
@@ -33,9 +34,9 @@ from .formula import _split, _unate
 from .qprogram import (AxiomLeaf, ClassicalQuery, Output, XorQuery,
                        axiom_citation, axiom_queries,
                        axiom_rep_table, classify_level, collect_axioms,
-                       _json_int, max_var, nae_program, parity_program,
-                       program_from_json, program_to_json, query_cost,
-                       simulate, CITE_AND_OR, CITE_THREE_BIT)
+                       _json_int, _node_field_error, max_var, nae_program,
+                       parity_program, program_from_json, program_to_json,
+                       query_cost, simulate, CITE_AND_OR, CITE_THREE_BIT)
 
 __all__ = [
     "ENGINE_ARRAY_MAX",
@@ -94,7 +95,7 @@ def _axiom_class_of(f: TruthTable):
 
 
 # ---------------------------------------------------------------------------
-# cost engine, tabulated part
+# cost engine
 
 
 def _insert_zero(ms: np.ndarray, pos: int) -> np.ndarray:
@@ -140,66 +141,13 @@ def _gather(t: TruthTable, index: np.ndarray) -> np.ndarray:
     return np.packbits(t.values()[index], axis=-1, bitorder="little")
 
 
-# witness entry of a table whose cost only a closed form reaches
-_NO_ROUTE = 255
-
-
-@functools.cache
-def _cost_arrays() -> list:
-    """Entry n holds (cost, witness) arrays over the arity-n tables: the
-    witness is the index in `_queries_in_order(n)` of the first route
-    whose cost equals the table's, or _NO_ROUTE."""
-    arrays = [(np.zeros(2, dtype=np.uint8), np.full(2, _NO_ROUTE, np.uint8))]
-    for n in range(1, ENGINE_ARRAY_MAX + 1):
-        size = 1 << n
-        ntab = 1 << size
-        half = size >> 1
-        tabs = np.arange(ntab, dtype=np.int64)
-        bits = ((tabs[:, None] >> np.arange(size)[None, :]) & 1).astype(np.uint8)
-        pows = np.left_shift(np.int64(1), np.arange(half, dtype=np.int64))
-        prev = arrays[n - 1][0]
-        cands = []
-        for (kind, *_), (e0, e1) in zip(_queries_in_order(n), _route_index(n)):
-            c0, c1 = bits[:, e0] @ pows, bits[:, e1] @ pows
-            cand = 1 + np.maximum(prev[c0], prev[c1])
-            if kind == "cq":  # skipping a dead x_p costs nothing
-                cand = np.where(c0 == c1, prev[c0], cand)
-            cands.append(cand.astype(np.uint8))
-        cands = np.array(cands)
-        best = cands.min(axis=0)
-        # the counting classes, each over its flip orbit: the input
-        # negations of the symmetric representative and their complements
-        # make up its whole NPN orbit
-        for class_id, ks in (("exact", range(n + 1)),
-                             ("threshold", range(1, n + 1))):
-            for k in ks:
-                rep = np.array([axiom_rep_table(class_id, n, k).bits],
-                               dtype=np.uint64)
-                imgs = _flip_images(rep, n).ravel().astype(np.int64)
-                np.minimum.at(best, np.concatenate([imgs, imgs ^ (ntab - 1)]),
-                              axiom_queries(class_id, n, k))
-        if n == 3:
-            # the 3-bit classification: anything with at least two ones and
-            # two zeros evaluates in two exact queries, whether or not the
-            # one-query search below reaches it
-            ones = bits.sum(axis=1)
-            general = (ones >= 2) & (ones <= size - 2)
-            np.minimum(best, np.where(general, 2, 255).astype(np.uint8),
-                       out=best)
-        hits = cands == best
-        witness = np.where(hits.any(axis=0), hits.argmax(axis=0), _NO_ROUTE)
-        arrays.append((best, witness.astype(np.uint8)))
-    return arrays
-
-
-# ---------------------------------------------------------------------------
-# cost engine, searched part
-
-
 # (arity, bits) -> (cost, witness) of tables wider than _BATCH_MAX: the
 # witness is the index in _queries_in_order of the first route reaching
 # the cost, None when a closed form set it
 _cost_memo: dict[tuple[int, int], tuple[int, int | None]] = {}
+
+# witness entry of a table whose cost only a closed form reaches
+_NO_ROUTE = 255
 
 
 def _parity_pattern(f: TruthTable):
@@ -223,8 +171,26 @@ def _nae_pattern(f: TruthTable):
     return None
 
 
+def _closed_form(t: TruthTable):
+    """(cost, sets) of the closed form that prices t, or None. Parity and
+    the counting classes set the cost (sets is True); an NAE pattern caps
+    the routes at n - 1, and at arity 3 any table with 2..6 ones is capped
+    at 2, the 3-bit two-query family."""
+    n = t.arity
+    if _parity_pattern(t) is not None:
+        return (n + 1) // 2, True
+    info = _symmetric_axiom(t)
+    if info is not None:
+        return info[2], True
+    if _nae_pattern(t) is not None:
+        return n - 1, False
+    if n == 3 and 2 <= t.popcount() <= 6:
+        return 2, False
+    return None
+
+
 def _cost_of(f: TruthTable) -> int:
-    # the arrays already charge nothing for dead variables
+    # the tables already charge nothing for dead variables
     if f.arity > ENGINE_ARRAY_MAX:
         f, _ = f.drop_dead()
     return _price(f)[0]
@@ -235,73 +201,113 @@ def _price(t: TruthTable) -> tuple[int, int | None]:
     <= ENGINE_ARRAY_MAX or of a full-support table above it."""
     n = t.arity
     if n <= ENGINE_ARRAY_MAX:
-        cost, witness = _cost_arrays()[n]
+        cost, witness = _cost_table(n)
         w = int(witness[t.bits])
         return int(cost[t.bits]), (None if w == _NO_ROUTE else w)
     key = (n, t.bits)
     got = _cost_memo.get(key)
     if got is not None:
         return got
-    if _parity_pattern(t) is not None:
-        got = ((n + 1) // 2, None)
+    form = _closed_form(t)
+    if form is not None and form[1]:
+        # a set cost keeps no witness: a route may tie it
+        got = (form[0], None)
     else:
-        # an axiom class keeps no witness: a route may tie its count
-        info = _symmetric_axiom(t)
-        got = ((info[2], None) if info is not None else
-               _route_search(t, n - 1 if _nae_pattern(t) is not None else n))
+        got = _route_search(t, n if form is None else form[0])
     if n > _BATCH_MAX:
         _cost_memo[key] = got
     return got
 
 
-# byte order and width of the code of a 2**m-entry table, m = 4..6
-_CODE_DTYPE = {16: "<u2", 32: "<u4", 64: "<u8"}
+@functools.cache
+def _cost_table(n: int) -> tuple:
+    """(cost, witness) arrays over every arity-n table, n <=
+    ENGINE_ARRAY_MAX: the cost is the route minimum under the closed
+    forms, as `_price` takes it above; the witness is the index in
+    `_queries_in_order(n)` of the first route whose cost equals the
+    table's, or _NO_ROUTE."""
+    codes = np.arange(1 << (1 << n), dtype=_CODE_DTYPE[1 << n])
+    cost = np.zeros(len(codes), dtype=np.uint8)
+    witness = np.full(len(codes), _NO_ROUTE, dtype=np.uint8)
+    # the constants of arity 0 have no route; above it, slices of 4,096
+    # tables bound the residual arrays of one batch
+    for lo in range(0, len(codes) if n else 0, 4096):
+        part = slice(lo, lo + 4096)
+        routes = _route_costs(
+            ((codes[part, None] >> np.arange(1 << n)) & 1).astype(np.uint8))
+        best = cost[part] = _with_closed_forms(routes.min(axis=-1),
+                                               codes[part], n)
+        hits = routes == best[:, None]
+        witness[part] = np.where(hits.any(axis=-1), hits.argmax(axis=-1),
+                                 _NO_ROUTE)
+    return cost, witness
+
+
+# byte order and width of the code of a 2**m-entry table, m = 0..6; a
+# table narrower than a byte still takes a whole one
+_CODE_DTYPE = {1: "u1", 2: "u1", 4: "u1", 8: "u1",
+               16: "<u2", 32: "<u4", 64: "<u8"}
 
 
 def _codes(rows: np.ndarray) -> np.ndarray:
-    """Codes of the tables of arity 4..6 whose bits lie along the last
-    axis of `rows`, packed in one flat pass."""
+    """Codes of the tables of arity 0..6 whose bits lie along the last
+    axis of `rows`: one byte per table below arity 3, else packed in one
+    flat pass."""
+    if rows.shape[-1] < 8:
+        return np.packbits(rows, axis=-1, bitorder="little")[..., 0]
     flat = np.packbits(rows, axis=None, bitorder="little")
     return flat.view(_CODE_DTYPE[rows.shape[-1]]).reshape(rows.shape[:-1])
 
 
 @functools.cache
 def _closed_forms(m: int) -> tuple:
-    """(codes, costs, overrides) of the full-support arity-m tables that
-    `_price` settles by a closed form, codes sorted: parity and the
-    counting classes set the cost, an NAE pattern caps the routes at
-    m - 1. The candidates are the flip images of each representative and
-    their complements, which make up their whole NPN orbits."""
-    reps = [table_parity(m), table_nae(m)]
-    reps += [axiom_rep_table(class_id, m, k)
-             for class_id, ks in (("exact", range(m + 1)),
-                                  ("threshold", range(1, m + 1)))
-             for k in ks]
-    imgs = _flip_images(np.array([r.bits for r in reps], dtype=np.uint64), m)
+    """(codes, costs, sets) of the arity-m tables `_closed_form` prices,
+    codes sorted. The candidates are every table up to arity 3, and above
+    it the flip images of the parity, NAE and counting-class
+    representatives and their complements, which make up their whole NPN
+    orbits."""
     full = (1 << (1 << m)) - 1
-    entries = []
-    for code in sorted({c ^ neg for c in map(int, imgs.ravel())
-                        for neg in (0, full)}):
-        t = TruthTable(m, code)
-        info = _symmetric_axiom(t)
-        if _parity_pattern(t) is not None:
-            entries.append((code, (m + 1) // 2, True))
-        elif info is not None:
-            entries.append((code, info[2], True))
-        elif _nae_pattern(t) is not None:
-            entries.append((code, m - 1, False))
-    codes, costs, overrides = zip(*entries)
+    if m <= 3:
+        cands = range(full + 1)
+    else:
+        reps = [table_parity(m), table_nae(m)]
+        reps += [axiom_rep_table(class_id, m, k)
+                 for class_id, ks in (("exact", range(m + 1)),
+                                      ("threshold", range(1, m + 1)))
+                 for k in ks]
+        imgs = _flip_images(np.array([r.bits for r in reps], dtype=np.uint64),
+                            m)
+        cands = sorted({c ^ neg for c in map(int, imgs.ravel())
+                        for neg in (0, full)})
+    entries = [(code, *form) for code in cands
+               if (form := _closed_form(TruthTable(m, code))) is not None]
+    codes, costs, sets = zip(*entries)
     return (np.array(codes, dtype=_CODE_DTYPE[1 << m]),
-            np.array(costs, dtype=np.uint8), np.array(overrides))
+            np.array(costs, dtype=np.uint8), np.array(sets))
+
+
+def _with_closed_forms(best: np.ndarray, codes: np.ndarray,
+                       m: int) -> np.ndarray:
+    """`best`, the route minima of the arity-m tables whose codes `codes`
+    holds, under `_closed_forms(m)`: a set cost replaces the minimum, a cap
+    bounds it."""
+    keys, costs, sets = _closed_forms(m)
+    at = np.searchsorted(keys, codes)
+    hit = keys.take(at, mode="clip") == codes
+    if hit.any():
+        c, s = costs.take(at, mode="clip"), sets.take(at, mode="clip")
+        best = np.where(hit, np.where(s, c, np.minimum(best, c)), best)
+    return best
 
 
 def _route_costs(rows: np.ndarray) -> np.ndarray:
-    """Cost of every route of the arity-m tables (ENGINE_ARRAY_MAX < m
-    <= _BATCH_MAX + 1) whose bits lie along the last axis of `rows`, along
-    a new last axis in `_queries_in_order(m)` order. A classical route on
-    a dead variable costs its residual, not one query more."""
+    """Cost of every route of the arity-m tables (1 <= m <= _BATCH_MAX + 1)
+    whose bits lie along the last axis of `rows`, along a new last axis in
+    `_queries_in_order(m)` order. A classical route on a dead variable
+    costs its residual, not one query more."""
     m = rows.shape[-1].bit_length() - 1
-    kids = rows[..., _route_index(m)]
+    # np.take lays the residuals out contiguously, which packbits needs
+    kids = np.take(rows, _route_index(m), axis=-1)
     codes = _codes(kids)
     s = _price_rows(kids, codes)
     cost = 1 + np.maximum(s[..., 0], s[..., 1])
@@ -311,21 +317,14 @@ def _route_costs(rows: np.ndarray) -> np.ndarray:
 
 
 def _price_rows(rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """`_cost_of` of every arity-m table (ENGINE_ARRAY_MAX <= m <=
-    _BATCH_MAX) whose bits lie along the last axis of `rows` and whose
-    codes `codes` holds: the route minimum, with the closed forms of
-    `_price` on top."""
+    """`_cost_of` of every arity-m table (m <= _BATCH_MAX) whose bits lie
+    along the last axis of `rows` and whose codes `codes` holds: read from
+    `_cost_table(m)` up to ENGINE_ARRAY_MAX, above it the route minimum
+    under the closed forms."""
     m = rows.shape[-1].bit_length() - 1
     if m <= ENGINE_ARRAY_MAX:
-        return _cost_arrays()[m][0][codes]
-    best = _route_costs(rows).min(axis=-1)
-    keys, costs, overrides = _closed_forms(m)
-    at = np.searchsorted(keys, codes)
-    hit = keys.take(at, mode="clip") == codes
-    if hit.any():
-        c, over = costs.take(at, mode="clip"), overrides.take(at, mode="clip")
-        best = np.where(hit, np.where(over, c, np.minimum(best, c)), best)
-    return best
+        return _cost_table(m)[0][codes]
+    return _with_closed_forms(_route_costs(rows).min(axis=-1), codes, m)
 
 
 def _route_search(t: TruthTable, best: int,
@@ -385,11 +384,6 @@ class RuleUse:
     rule: str
     detail: str
     citation: str | None = None
-
-
-def _note(rules: list, use: RuleUse):
-    if use not in rules:
-        rules.append(use)
 
 
 # the names argument of `_remap` that keeps every variable's name
@@ -454,12 +448,12 @@ def _class_ties(class_id: str, n: int, k: int) -> bool:
 def _build_small(n: int, bits: int) -> tuple:
     """(tree, rules) of an arity <= 3 table: small residuals recur across
     many functions."""
-    rules: list = []
+    rules: dict = {}
     tree = _build_impl(TruthTable(n, bits), tuple(range(1, n + 1)), rules)
     return tree, tuple(rules)
 
 
-def _build(f: TruthTable, names: tuple, rules: list, flips: int = 0,
+def _build(f: TruthTable, names: tuple, rules: dict, flips: int = 0,
            price=None):
     """Program for f that reads f's variable x_v as x_{names[v - 1]} (the
     names increase with v), each input x_w with bit w - 1 of `flips` set
@@ -469,41 +463,40 @@ def _build(f: TruthTable, names: tuple, rules: list, flips: int = 0,
         tree = _build_impl(f, names, rules, price)
         return _remap(tree, _SAME_NAMES, flips) if flips else tree
     tree, used = _build_small(f.arity, f.bits)
-    for use in used:
-        _note(rules, use)
+    rules.update(dict.fromkeys(used))
     # increasing names are the identity exactly when the last one is k
     if not flips and (not names or names[-1] == f.arity):
         return tree
     return _remap(tree, names, flips)
 
 
-def _build_impl(f: TruthTable, names: tuple, rules: list, price=None):
+def _build_impl(f: TruthTable, names: tuple, rules: dict, price=None):
     n = f.arity
     if f.is_constant():
-        _note(rules, RuleUse("R0", "constant output"))
+        rules[RuleUse("R0", "constant output")] = None
         return Output(1 if f.bits else 0)
     support = f.support()
     if len(support) < n:
         sub, kept = f.drop_dead()
-        _note(rules, RuleUse("R1", "dropped %d dead variable(s)"
-                             % (n - len(kept))))
+        rules[RuleUse("R1", "dropped %d dead variable(s)"
+                      % (n - len(kept)))] = None
         return _build(sub, tuple(names[v - 1] for v in kept), rules,
                       price=price)
     if f.is_and_isomorphic():
-        _note(rules, RuleUse("R2", "classical chain, optimal for functions "
-                             "with a unique deciding input", CITE_AND_OR))
+        rules[RuleUse("R2", "classical chain, optimal for functions with "
+                      "a unique deciding input", CITE_AND_OR)] = None
         return _and_iso_chain(f, names)
     c, route = _price(f) if price is None else price
     inv = _parity_pattern(f)
     if inv is not None:
         assert c == (n + 1) // 2
-        _note(rules, RuleUse("R3", "paired xor queries for a parity pattern",
-                             CITE_XOR_GADGET))
+        rules[RuleUse("R3", "paired xor queries for a parity pattern",
+                      CITE_XOR_GADGET)] = None
         return _remap(parity_program(n, invert=bool(inv)), names, 0)
     nae = _nae_pattern(f)
     if nae is not None and c == n - 1:
-        _note(rules, RuleUse("R3", "neighbour xor chain for an "
-                             "equality-to-pattern test", CITE_XOR_GADGET))
+        rules[RuleUse("R3", "neighbour xor chain for an "
+                      "equality-to-pattern test", CITE_XOR_GADGET)] = None
         anchor, match = nae
         return _remap(nae_program(n, bool(match), anchor), names, 0)
     info = _axiom_class_of(f) if route is None else None
@@ -516,23 +509,23 @@ def _build_impl(f: TruthTable, names: tuple, rules: list, price=None):
         if info is not None and info[2] == c:
             class_id, k, q = info
             rule = "R4" if class_id == "and_or_3" else "R3"
-            _note(rules, RuleUse(rule, "known exact algorithm for the %s "
-                                 "class" % class_id, axiom_citation(class_id)))
+            rules[RuleUse(rule, "known exact algorithm for the %s class"
+                          % class_id, axiom_citation(class_id))] = None
             return AxiomLeaf(class_id, names, q, axiom_citation(class_id), k)
         if n == 3:
             # not in any catalogued orbit yet cheaper than every one-query
             # continuation: the 3-bit classification guarantees two queries
             assert c == 2
-            _note(rules, RuleUse("R4", "certified two-query family: 3-bit "
-                                 "functions not isomorphic to AND_3",
-                                 CITE_THREE_BIT))
+            rules[RuleUse("R4", "certified two-query family: 3-bit "
+                          "functions not isomorphic to AND_3",
+                          CITE_THREE_BIT)] = None
             return AxiomLeaf("three_bit", names, 2, CITE_THREE_BIT)
     unate = _unate(f)
     split = _split(unate[0]) if unate is not None else None
     if split is not None:
         op, parts = split
         flips = unate[1]
-        part_rules: list = []
+        part_rules: dict = {}
         trees = []
         for comp, sub in parts:
             negated = sum(1 << (names[v - 1] - 1) for v in comp
@@ -547,10 +540,9 @@ def _build_impl(f: TruthTable, names: tuple, rules: list, price=None):
                            else (composed, Output(1)))
                 composed = _remap(tr, _SAME_NAMES, 0, outputs)
             if query_cost(composed) == c:
-                for use in part_rules:
-                    _note(rules, use)
-                _note(rules, RuleUse("R5", "sequential composition of "
-                                     "variable-disjoint factors"))
+                rules.update(part_rules)
+                rules[RuleUse("R5", "sequential composition of "
+                              "variable-disjoint factors")] = None
                 return composed
     if route is None:
         raise RuntimeError("internal: no construction achieves cost %d for %s"
@@ -563,10 +555,10 @@ def _build_impl(f: TruthTable, names: tuple, rules: list, price=None):
     t0 = _build(r0, rest, rules)
     t1 = _build(r1, rest, rules)
     if kind == "cq":
-        _note(rules, RuleUse("R6", "adaptive search, classical branch"))
+        rules[RuleUse("R6", "adaptive search, classical branch")] = None
         return ClassicalQuery(names[gone - 1], t0, t1)
-    _note(rules, RuleUse("R6", "adaptive search, xor branch",
-                         CITE_XOR_GADGET))
+    rules[RuleUse("R6", "adaptive search, xor branch",
+                  CITE_XOR_GADGET)] = None
     return XorQuery(names[args[0] - 1], names[gone - 1], t0, t1)
 
 
@@ -612,7 +604,7 @@ def synthesize(f: TruthTable) -> Certificate:
     if f.arity > ENGINE_MAX_ARITY:
         raise ValueError("synthesis supports arity <= %d, got %d"
                          % (ENGINE_MAX_ARITY, f.arity))
-    rules: list = []
+    rules: dict = {}
     t, _ = f.drop_dead()
     price = _price(t)
     tree = _build(f, tuple(range(1, f.arity + 1)), rules, price=price)
@@ -648,24 +640,18 @@ def _audit(node, inputs: int, f: TruthTable, path: str, failures: list):
     holds the codes reaching `node` (never empty), and each query splits
     it. Outputs must agree with f on their whole set."""
     masks = _var_masks(f.arity)
+    error = _node_field_error(node, path)
+    if error is not None:
+        failures.append(error)
+        return
     if isinstance(node, Output):
-        if node.bit not in (0, 1):
-            failures.append("output at %s must be 0 or 1" % path)
-        elif inputs & (~f.bits if node.bit else f.bits):
+        if inputs & (~f.bits if node.bit else f.bits):
             failures.append("output %d at %s disagrees with the function"
                             % (node.bit, path))
         return
     if isinstance(node, ClassicalQuery):
-        if node.var < 1:
-            failures.append("classical query at %s reads x%d; variables "
-                            "start at x1" % (path, node.var))
-            return
         mask = masks[node.var - 1]
     elif isinstance(node, XorQuery):
-        if node.i == node.j or node.i < 1 or node.j < 1:
-            failures.append("xor gadget at %s needs two distinct variables"
-                            % path)
-            return
         mask = masks[node.i - 1] ^ masks[node.j - 1]
     elif isinstance(node, AxiomLeaf):
         return _audit_leaf(node, inputs, f, path, failures)

@@ -24,7 +24,7 @@ from querysynth.suites import (
     and_orbit,
     run_suite,
 )
-from querysynth.synth import Certificate, _cost_arrays
+from querysynth.synth import Certificate, _cost_table
 
 
 def one_point_tables(n):
@@ -51,7 +51,7 @@ def test_and_orbit_sizes():
 
 
 def test_per_arity_tables_are_built_once():
-    for build in (_cost_arrays, lambda: and_orbit(4),
+    for build in (lambda: _cost_table(4), lambda: and_orbit(4),
                   lambda: _degree_table(4)):
         assert build() is build()
 

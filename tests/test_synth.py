@@ -222,31 +222,43 @@ _REFERENCE_PRICES: dict = {}
 
 def _reference_price(f):
     """(cost, witness) of f, table by table from first principles: drop
-    dead variables; read the tables at n <= 4; then parity, the axiom
-    class and the NAE start cost n - 1; then the first cheapest route,
-    each residual made by `_reference_residual` and priced by recursion.
-    A route that only ties the start cost keeps no witness."""
+    dead variables; price each route by recursion down to arity 0, each
+    residual made by `_reference_residual`; parity and the axiom class set
+    the cost, and the NAE pattern and, at arity 3, any table with 2..6
+    ones (the two-query family) cap the route minimum at n - 1 and 2. Up
+    to arity 4 the witness is the first route whose cost equals the
+    table's; above it a set cost keeps none, nor does a route that only
+    ties a cap."""
     f, _ = f.drop_dead()
     n = f.arity
-    if n <= synth.ENGINE_ARRAY_MAX:
-        cost, witness = synth._cost_arrays()[n]
-        w = int(witness[f.bits])
-        return int(cost[f.bits]), (None if w == synth._NO_ROUTE else w)
+    if n == 0:
+        return 0, None
     key = (n, f.bits)
     if key in _REFERENCE_PRICES:
         return _REFERENCE_PRICES[key]
     info = synth._symmetric_axiom(f)
     if synth._parity_pattern(f) is not None:
-        got = ((n + 1) // 2, None)
-    elif info is not None:
-        got = (info[2], None)
+        sets = (n + 1) // 2
     else:
-        start = n - 1 if synth._nae_pattern(f) is not None else n
+        sets = None if info is None else info[2]
+    if synth._nae_pattern(f) is not None:
+        cap = n - 1
+    elif n == 3 and 2 <= f.popcount() <= 6:
+        cap = 2
+    else:
+        cap = n
+    if sets is not None and n > synth.ENGINE_ARRAY_MAX:
+        got = (sets, None)
+    else:
         costs = [1 + max(_reference_price(_reference_residual(f, route, b))[0]
                          for b in (0, 1))
                  for route in synth._queries_in_order(n)]
         best = min(costs)
-        got = (best, costs.index(best)) if best < start else (start, None)
+        if n <= synth.ENGINE_ARRAY_MAX:
+            cost = min(best, cap) if sets is None else sets
+            got = (cost, costs.index(cost) if cost in costs else None)
+        else:
+            got = (best, costs.index(best)) if best < cap else (cap, None)
     _REFERENCE_PRICES[key] = got
     return got
 
@@ -345,7 +357,7 @@ def _pricer_population(rnd, m):
 
 def test_batched_pricer_matches_reference():
     rnd = random.Random(13)
-    for m in (5, 6):
+    for m in (3, 4, 5, 6):
         tables, closed = _pricer_population(rnd, m)
         rows = np.array([t.values() for t in tables])
         got = synth._price_rows(rows, synth._codes(rows))
@@ -361,7 +373,24 @@ def test_batched_pricer_matches_reference():
         is_closed = np.array([t.bits in closed for t in tables])
         routes = synth._route_costs(rows).min(axis=-1)
         assert (routes[is_closed] >= got[is_closed]).all(), m
-        assert len(synth._closed_forms(m)[0]) == len(closed)
+        # at arity 3 the two-query family adds every table with 2..6 ones
+        family = {bits for bits in range(256) if 2 <= bits.bit_count() <= 6}
+        assert set(synth._closed_forms(m)[0].tolist()) == (
+            closed | family if m == 3 else closed)
+
+
+# sha256 of the (cost, witness) bytes of `_cost_table(n)` for n = 0..4,
+# recorded before the route pricer built the tables
+FROZEN_COST_TABLES_SHA256 = (
+    "91d193e14b0bb85751e82eb34beb0e79b53e7d52b44c4f369b890ba5670c4d98")
+
+
+def test_cost_tables_frozen():
+    digest = hashlib.sha256()
+    for n in range(synth.ENGINE_ARRAY_MAX + 1):
+        cost, witness = synth._cost_table(n)
+        digest.update(cost.tobytes() + witness.tobytes())
+    assert digest.hexdigest() == FROZEN_COST_TABLES_SHA256
 
 
 def _first_fit(f, c):
