@@ -727,14 +727,15 @@ def parse_function(text: str) -> TruthTable:
     kind = kind.strip()
     body = body.strip()
     if kind == "bin":
-        if not body or any(ch not in "01" for ch in body):
+        if not body or body.strip("01"):
             raise ValueError("bin: expects a string of 0/1 characters")
         n = (len(body) - 1).bit_length()
         if len(body) != 1 << n or len(body) < 2:
             raise ValueError("bin: length must be 2**n for some n >= 1")
-        return TruthTable.from_values(int(ch) for ch in body)
+        return TruthTable(n, int(body[::-1], 2))
     if kind == "hex":
-        if not body or any(ch not in string.hexdigits for ch in body):
+        # int() alone would take 0x, _, signs and inner spaces
+        if not body or body.strip(string.hexdigits):
             raise ValueError("hex: expects hexadecimal digits")
         bits = int(body, 16)
         nbits = 4 * len(body)

@@ -200,8 +200,8 @@ def _simulate_file(args) -> int:
         "declared queries:     %d" % query_cost(program),
     ]
     if not rep.exact:
-        wrong = [m for m, o in sorted(rep.outcomes.items())
-                 if o != f.value(m)]
+        diff = format(rep.ones ^ f.bits, "0%db" % f.size)[::-1]
+        wrong = [m for m, c in enumerate(diff) if c == "1"]
         human.append("failing inputs:       %s"
                      % ", ".join(format(m, "0%db" % f.arity)[::-1]
                                  for m in wrong[:8]))

@@ -9,7 +9,8 @@ state s iff x_{label(s)} = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 from .boolfun import (TruthTable, _var_masks, table_and, table_exact,
                       table_or, table_threshold)
@@ -292,17 +293,27 @@ def nae_program(n: int, invert: bool = False, anchor: int = 0):
 
 @dataclass
 class SimulationReport:
+    """What `simulate` found. Bit m of `ones` is set iff input code m's
+    outcome is 1, for the `size` inputs of the function; the {input: bit}
+    map `outcomes` is built from it when first read."""
+
     exact: bool
     worst_wrong_amplitude: float
     queries_worst_case: int
-    outcomes: dict = field(default_factory=dict)
+    ones: int
+    size: int
+
+    @functools.cached_property
+    def outcomes(self) -> dict:
+        bits = format(self.ones, "0%db" % self.size)[::-1]
+        return {m: int(c) for m, c in enumerate(bits)}
 
     def to_json(self) -> dict:
         return {
             "exact": self.exact,
             "worstWrongAmplitude": self.worst_wrong_amplitude,
             "queriesWorstCase": self.queries_worst_case,
-            "outcomes": {str(m): b for m, b in sorted(self.outcomes.items())},
+            "outcomes": {str(m): b for m, b in self.outcomes.items()},
         }
 
 
@@ -384,33 +395,50 @@ def _branches(node, inputs: int, masks):
                 out.extend((b, a, o, q + 1)
                            for b, a, o, q in _branches(child, sub, masks))
         return out
+    # a block's state depends only on its labelled variables, so take the
+    # outcome magnitudes once per pattern and send each outcome's inputs
+    # on, grouped by the magnitude they reach it with
     if isinstance(node, XorQuery):
-        node = elaborate_xor(node)
-    # unitary block: the state depends only on the labelled variables, so
-    # compute it once per pattern and send each outcome's inputs on,
-    # grouped by the magnitude they reach it with
-    start = tuple(1.0 + 0.0j if s == 0 else 0.0j
-                  for s in range(len(node.labels)))
-    start = node.matrices[0].apply(start)
-    groups = [{} for _ in node.labels]  # outcome -> {magnitude: inputs}
-    for sub, m in _patterns(node.labels, inputs, masks):
-        state = start
-        for mat in node.matrices[1:]:
-            state = mat.apply(apply_oracle(state, node.labels, m))
-        for s, amp in enumerate(state):
-            mag = abs(amp)
+        gadget, i, j = _xor_magnitudes(), node.i - 1, node.j - 1
+        labels, children, t = (node.i, node.j), (node.child0, node.child1), 1
+
+        def magnitudes(m):
+            return gadget[(m >> i & 1) | (m >> j & 1) << 1]
+    else:
+        labels, children = node.labels, node.children
+        t = len(node.matrices) - 1
+        magnitudes = functools.partial(_magnitudes, node)
+    groups = [{} for _ in labels]  # outcome -> {magnitude: inputs}
+    for sub, m in _patterns(labels, inputs, masks):
+        for s, mag in enumerate(magnitudes(m)):
             # a zero magnitude is a branch taken with probability exactly
             # zero; skipping it cannot change the report
             if mag != 0.0:
                 groups[s][mag] = groups[s].get(mag, 0) | sub
-    t = len(node.matrices) - 1
     out = []
     for s, by_mag in enumerate(groups):
         for mag, sub in by_mag.items():
             out.extend((b, mag * a, o, q + t)
-                       for b, a, o, q in _branches(node.children[s], sub,
-                                                   masks))
+                       for b, a, o, q in _branches(children[s], sub, masks))
     return out
+
+
+def _magnitudes(block: UnitaryBlock, m: int) -> tuple:
+    """|amplitude| of each measurement outcome of `block` on input code m."""
+    state = tuple(1.0 + 0.0j if s == 0 else 0.0j
+                  for s in range(len(block.labels)))
+    state = block.matrices[0].apply(state)
+    for mat in block.matrices[1:]:
+        state = mat.apply(apply_oracle(state, block.labels, m))
+    return tuple(abs(amp) for amp in state)
+
+
+@functools.cache
+def _xor_magnitudes() -> tuple:
+    """The xor gadget's outcome magnitudes for (x_i, x_j) = (0, 0), (1, 0),
+    (0, 1), (1, 1): elaborate_xor's block, simulated once per process."""
+    block = elaborate_xor(XorQuery(1, 2, Output(0), Output(1)))
+    return tuple(_magnitudes(block, m) for m in range(4))
 
 
 def simulate(program, f: TruthTable) -> SimulationReport:
@@ -438,10 +466,8 @@ def simulate(program, f: TruthTable) -> SimulationReport:
         decided |= new
         if o:
             ones |= new
-    bits = format(ones, "0%db" % f.size)[::-1]
-    outcomes = {m: int(c) for m, c in enumerate(bits)}
     return SimulationReport(worst_wrong <= EPSILON, worst_wrong,
-                            worst_queries, outcomes)
+                            worst_queries, ones, f.size)
 
 
 # ---------------------------------------------------------------------------

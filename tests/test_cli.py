@@ -260,6 +260,27 @@ def test_simulate_reports_failing_inputs(tmp_path, capsys):
     assert "failing inputs:       00, 11" in out
 
 
+def test_simulate_failing_inputs_frozen_at_arity_six(tmp_path, capsys):
+    # parity(6) run against not-all-equal(6) fails on the 30 inputs of
+    # even weight other than 000000 and 111111
+    path = _write(tmp_path, "parity6.json", program_to_json(parity_program(6)))
+    fn = "profile:0,1,1,1,1,1,0"
+    rc, out, _ = run_cli(capsys, "simulate", path, "--fn", fn,
+                         "--format", "json")
+    assert rc == 1
+    assert json.loads(out)["failingInputs"] == [
+        3, 5, 6, 9, 10, 12, 15, 17, 18, 20, 23, 24, 27, 29, 30, 33, 34, 36,
+        39, 40, 43, 45, 46, 48, 51, 53, 54, 57, 58, 60]
+    # the whole JSON, outcome map and amplitudes included
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d45a663c501f66f2f481e2bd605bae53eef6eb46d357a4dde25490753e90c2f4")
+    rc, out, _ = run_cli(capsys, "simulate", path, "--fn", fn)
+    assert rc == 1
+    assert out.splitlines()[-1] == (
+        "failing inputs:       110000, 101000, 011000, 100100, 010100, "
+        "001100, 111100, 100010")
+
+
 def test_simulate_axiom_certificates_are_refused(tmp_path, capsys):
     target = tmp_path / "cert.json"
     run_cli(capsys, "synth", "--fn", table_exact(4, 2).to_hex_text(),

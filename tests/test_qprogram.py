@@ -429,6 +429,121 @@ def test_simulate_tie_goes_to_first_branch_in_walk_order():
 
 
 # ---------------------------------------------------------------------------
+# the xor gadget's cached magnitudes against its elaborated block
+
+
+def _elaborated(node, memo):
+    """`node` with every xor gadget replaced by elaborate_xor's block;
+    shared subtrees stay shared."""
+    got = memo.get(id(node))
+    if got is None:
+        if isinstance(node, XorQuery):
+            got = elaborate_xor(XorQuery(node.i, node.j,
+                                         _elaborated(node.child0, memo),
+                                         _elaborated(node.child1, memo)))
+        elif isinstance(node, ClassicalQuery):
+            got = ClassicalQuery(node.var, _elaborated(node.child0, memo),
+                                 _elaborated(node.child1, memo))
+        elif isinstance(node, UnitaryBlock):
+            got = UnitaryBlock(node.labels, node.matrices,
+                               tuple(_elaborated(ch, memo)
+                                     for ch in node.children))
+        else:
+            got = node
+        memo[id(node)] = got
+    return got
+
+
+def _assert_xor_path_matches_elaborated(prog, f, rng):
+    """simulate reports the same, bit for bit, with and without the
+    gadget's cached magnitudes: on f, f with one bit flipped and a
+    random table."""
+    slow_prog = _elaborated(prog, {})
+    assert not any(isinstance(nd, XorQuery) for nd in _nodes(slow_prog))
+    for g in (f, _flip_one_bit(f, rng),
+              TruthTable(f.arity, rng.getrandbits(f.size))):
+        fast, slow = simulate(prog, g), simulate(slow_prog, g)
+        assert fast.exact == slow.exact
+        assert (fast.worst_wrong_amplitude.hex()
+                == slow.worst_wrong_amplitude.hex())
+        assert fast.queries_worst_case == slow.queries_worst_case
+        assert fast.outcomes == slow.outcomes
+
+
+def _nodes(node):
+    yield node
+    kids = (node.children if isinstance(node, UnitaryBlock) else
+            (node.child0, node.child1)
+            if isinstance(node, (ClassicalQuery, XorQuery)) else ())
+    for ch in kids:
+        yield from _nodes(ch)
+
+
+def test_xor_path_matches_elaborated_blocks_on_builders():
+    rng = random.Random(16)
+    for n in range(2, 13):
+        full = (1 << n) - 1
+        anchor = rng.randrange(1 << n)
+        anchored = TruthTable(n, ((1 << (1 << n)) - 1) ^ (1 << anchor)
+                              ^ (1 << (full ^ anchor)))
+        for prog, f in ((parity_program(n), table_parity(n)),
+                        (parity_program(n, invert=True),
+                         table_parity(n).complement()),
+                        (nae_program(n, anchor=anchor), anchored)):
+            assert simulate(prog, f).exact
+            _assert_xor_path_matches_elaborated(prog, f, rng)
+
+
+def _over_pair_xors(n, g):
+    """g(x1^x2, x3^x4, ...), x_n alone at odd n: the shape xor gadgets
+    fit, where random tables above arity 5 almost never come out
+    FullySimulated."""
+    def value(m):
+        y = 0
+        for k in range(0, n, 2):
+            y |= ((m >> k ^ m >> (k + 1)) & 1 if k + 1 < n
+                  else m >> k & 1) << (k // 2)
+        return g >> y & 1
+    return TruthTable.from_values(value(m) for m in range(1 << n))
+
+
+def test_xor_path_matches_elaborated_blocks_on_synthesized_programs():
+    rng = random.Random(61)
+    checked = {4: 0, 5: 0, 6: 0}
+    for n in checked:
+        tables = [TruthTable(n, rng.getrandbits(1 << n)) for _ in range(16)]
+        tables += [_over_pair_xors(n, rng.getrandbits(1 << (n + 1) // 2))
+                   for _ in range(8)]
+        for f in tables:
+            cert = synthesize(f)
+            if cert.level != "FullySimulated":
+                continue
+            checked[n] += 1
+            _assert_xor_path_matches_elaborated(cert.program, f, rng)
+    assert min(checked.values()) >= 5, checked
+
+
+def test_planted_gadget_fault_is_caught(monkeypatch):
+    """The gadget's magnitudes are simulated from elaborate_xor's
+    matrices, not written down: a sign flipped in its output matrix
+    makes a parity certificate fail."""
+    from querysynth import qprogram
+    cert = synthesize(table_parity(4))
+    assert cert.level == "FullySimulated" and verify_certificate(cert).ok
+    flipped = Matrix(((1, -1), (1, -1)), 1)  # entry (1, 1) negated
+    with monkeypatch.context() as mp:
+        mp.setattr(qprogram, "_H_OUT", flipped)
+        qprogram._xor_magnitudes.cache_clear()
+        try:
+            rep = verify_certificate(cert)
+        finally:
+            qprogram._xor_magnitudes.cache_clear()
+    assert not rep.ok
+    assert rep.simulation.worst_wrong_amplitude > 0.5
+    assert verify_certificate(cert).ok
+
+
+# ---------------------------------------------------------------------------
 # variables out of range
 
 

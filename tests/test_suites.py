@@ -103,6 +103,17 @@ def test_symmetric_suite_small():
     assert rep.extras["countsByArity"]["3"] == {"0": 2, "2": 10, "3": 4}
 
 
+def test_symmetric_suite_at_arity_seven():
+    # best mode, synthesize then verify, on all 256 profiles at n = 7,
+    # one arity past the default campaign's max_n = 6
+    rep = run_suite("symmetric", max_n=7)
+    _assert_coherent(rep)
+    assert rep.ok, rep.failures
+    assert rep.population == sum(1 << (n + 1) for n in range(1, 8))
+    assert rep.extras["countsByArity"]["7"] == {"0": 2, "4": 8, "5": 30,
+                                                "6": 212, "7": 4}
+
+
 def test_primitives_suite_small():
     rep = run_suite("primitives", max_n=6)
     _assert_coherent(rep)
