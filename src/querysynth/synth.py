@@ -6,8 +6,10 @@ the restricted function. On top of that sit literature-backed leaves for
 function classes whose exact quantum query complexity is known to beat
 this space (EXACT/threshold counting classes and the two-query
 three-variable and-or function). One pricer costs every route of a batch
-of tables up to arity 7 at once, and one closed-form rule (parity, the
-counting classes, NAE, the 3-bit two-query family) sets or caps the route
+of tables up to arity 7 at once, working on table codes: byte-sliced
+tables give the residual codes of a batch, and a large batch prices each
+distinct residual once. One closed-form rule (parity, the counting
+classes, NAE, the 3-bit two-query family) sets or caps the route
 minimum. It fills the cost tables up to arity 4 and prices wider tables on
 demand, above arity 7 route by route over a memo. Tables and search keep
 the first route that reached each cost, and the program builder replays
@@ -53,7 +55,7 @@ __all__ = [
 
 ENGINE_ARRAY_MAX = 4
 ENGINE_MAX_ARITY = 12
-# the widest residual priced in one batch of gathers, and so the widest
+# the widest residual priced in one batch, and so the widest
 # table the engine prices without `_cost_memo`
 _BATCH_MAX = 6
 
@@ -233,12 +235,11 @@ def _cost_table(n: int) -> tuple:
     # tables bound the residual arrays of one batch
     for lo in range(0, len(codes) if n else 0, 4096):
         part = slice(lo, lo + 4096)
-        routes = _route_costs(
-            ((codes[part, None] >> np.arange(1 << n)) & 1).astype(np.uint8))
-        best = cost[part] = _with_closed_forms(routes.min(axis=-1),
+        routes = _route_costs(_residual_codes(codes[part], n), n)
+        best = cost[part] = _with_closed_forms(routes.min(axis=0),
                                                codes[part], n)
-        hits = routes == best[:, None]
-        witness[part] = np.where(hits.any(axis=-1), hits.argmax(axis=-1),
+        hits = routes == best
+        witness[part] = np.where(hits.any(axis=0), hits.argmax(axis=0),
                                  _NO_ROUTE)
     return cost, witness
 
@@ -249,14 +250,40 @@ _CODE_DTYPE = {1: "u1", 2: "u1", 4: "u1", 8: "u1",
                16: "<u2", 32: "<u4", 64: "<u8"}
 
 
-def _codes(rows: np.ndarray) -> np.ndarray:
-    """Codes of the tables of arity 0..6 whose bits lie along the last
-    axis of `rows`: one byte per table below arity 3, else packed in one
-    flat pass."""
-    if rows.shape[-1] < 8:
-        return np.packbits(rows, axis=-1, bitorder="little")[..., 0]
-    flat = np.packbits(rows, axis=None, bitorder="little")
-    return flat.view(_CODE_DTYPE[rows.shape[-1]]).reshape(rows.shape[:-1])
+@functools.cache
+def _route_slices(m: int) -> np.ndarray:
+    """Entry [j, v] holds the residual codes, laid out as
+    `_route_index(m)`, of the arity-m table (1 <= m <= _BATCH_MAX + 1)
+    whose code is v << 8j. A residual reads single bits of f, so the
+    residual codes of any table are the OR of these entries over the
+    bytes of its code."""
+    index, size = _route_index(m), 1 << m
+    # unit[i] holds the bits that bit i of f sets in each residual; they
+    # are disjoint, so a sum over the bits of a byte is their OR
+    unit = np.zeros((max(8, size), *index.shape[:2]), dtype=np.uint64)
+    r, b = np.ogrid[:index.shape[0], :2]
+    unit[index, r[..., None], b[..., None]] = (
+        np.uint64(1) << np.arange(size >> 1, dtype=np.uint64))
+    octets = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                           bitorder="little").astype(np.uint64)
+    slices = octets @ unit.reshape(-1, 8, 2 * len(index))
+    slices = slices.reshape(-1, 256, *index.shape[:2]).astype(
+        _CODE_DTYPE[size >> 1])
+    slices.flags.writeable = False
+    return slices
+
+
+def _residual_codes(codes: np.ndarray, m: int) -> np.ndarray:
+    """Codes of the residuals of every arity-m table (m <= _BATCH_MAX)
+    whose code `codes` holds, along two new leading axes (route, b): each
+    route's costs are then contiguous, which the route minimum wants."""
+    slices = _route_slices(m)
+    octets = codes[..., None].view(np.uint8)
+    kids = slices[0].take(octets[..., 0], axis=0)
+    for j in range(1, len(slices)):
+        kids |= slices[j].take(octets[..., j], axis=0)
+    # (batch..., route, b) -> (route, b, batch...)
+    return kids.reshape(codes.size, -1).T.copy().reshape(-1, 2, *codes.shape)
 
 
 @functools.cache
@@ -300,31 +327,38 @@ def _with_closed_forms(best: np.ndarray, codes: np.ndarray,
     return best
 
 
-def _route_costs(rows: np.ndarray) -> np.ndarray:
-    """Cost of every route of the arity-m tables (1 <= m <= _BATCH_MAX + 1)
-    whose bits lie along the last axis of `rows`, along a new last axis in
-    `_queries_in_order(m)` order. A classical route on a dead variable
-    costs its residual, not one query more."""
-    m = rows.shape[-1].bit_length() - 1
-    # np.take lays the residuals out contiguously, which packbits needs
-    kids = np.take(rows, _route_index(m), axis=-1)
-    codes = _codes(kids)
-    s = _price_rows(kids, codes)
-    cost = 1 + np.maximum(s[..., 0], s[..., 1])
+# a batch of at least this many arity > ENGINE_ARRAY_MAX codes is priced
+# once per distinct code: below it np.unique costs more than the
+# repeats it saves
+_UNIQUE_MIN = 256
+
+
+def _route_costs(kids: np.ndarray, m: int) -> np.ndarray:
+    """Cost of every route of arity-m tables (1 <= m <= _BATCH_MAX + 1),
+    given the codes of their residuals along the first two axes of `kids`
+    (route in `_queries_in_order(m)` order, b), with the route axis first.
+    A classical route on a dead variable costs its residual, not one query
+    more."""
+    s = _price_rows(kids, m - 1)
+    cost = 1 + np.maximum(s[:, 0], s[:, 1])
     # a classical route on a dead variable reads one residual twice
-    cost[..., -m:] -= codes[..., -m:, 0] == codes[..., -m:, 1]
+    cost[-m:] -= kids[-m:, 0] == kids[-m:, 1]
     return cost
 
 
-def _price_rows(rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """`_cost_of` of every arity-m table (m <= _BATCH_MAX) whose bits lie
-    along the last axis of `rows` and whose codes `codes` holds: read from
-    `_cost_table(m)` up to ENGINE_ARRAY_MAX, above it the route minimum
-    under the closed forms."""
-    m = rows.shape[-1].bit_length() - 1
+def _price_rows(codes: np.ndarray, m: int) -> np.ndarray:
+    """`_cost_of` of every arity-m table (m <= _BATCH_MAX) whose code
+    `codes` holds: read from `_cost_table(m)` up to ENGINE_ARRAY_MAX,
+    above it the route minimum under the closed forms, one price per
+    distinct code in a batch of _UNIQUE_MIN codes or more."""
     if m <= ENGINE_ARRAY_MAX:
-        return _cost_table(m)[0][codes]
-    return _with_closed_forms(_route_costs(rows).min(axis=-1), codes, m)
+        return _cost_table(m)[0].take(codes)
+    keys, inv = codes, None
+    if codes.size >= _UNIQUE_MIN:
+        keys, inv = np.unique(codes, return_inverse=True)
+    best = _route_costs(_residual_codes(keys, m), m).min(axis=0)
+    best = _with_closed_forms(best, keys, m)
+    return best if inv is None else best[inv].reshape(codes.shape)
 
 
 def _route_search(t: TruthTable, best: int,
@@ -340,7 +374,8 @@ def _route_search(t: TruthTable, best: int,
     route reaching `lb`, by default ceil(deg/2)."""
     n = t.arity
     if n <= _BATCH_MAX + 1:
-        cost = _route_costs(t.values())
+        kids = _gather(t, _route_index(n)).view(_CODE_DTYPE[1 << (n - 1)])
+        cost = _route_costs(kids[..., 0], n)
         r = int(cost.argmin())
         return (int(cost[r]), r) if cost[r] < best else (best, None)
     if lb is None:

@@ -215,6 +215,20 @@ def test_route_index_gathers_the_residuals():
                     row = synth._gather(f, index[r, b]).tobytes()
                     assert TruthTable(n - 1, int.from_bytes(
                         row, "little")) == want, (f, route, b)
+    # a residual reads single bits of f, so the residuals of the one-bit
+    # tables give every entry of the byte-sliced residual codes
+    for m in range(1, 8):
+        routes = synth._queries_in_order(m)
+        unit = np.zeros((max(8, 1 << m), len(routes), 2), dtype=np.uint64)
+        for i in range(1 << m):
+            unit[i] = [[_reference_residual(TruthTable(m, 1 << i), route,
+                                            b).bits for b in (0, 1)]
+                       for route in routes]
+        unit = unit.reshape(-1, 8, len(routes), 2)
+        want = np.zeros((len(unit), 256, len(routes), 2), dtype=np.uint64)
+        for i in range(8):
+            want[:, (np.arange(256) >> i) & 1 == 1] |= unit[:, i, None]
+        assert np.array_equal(synth._route_slices(m), want), m
 
 
 _REFERENCE_PRICES: dict = {}
@@ -228,13 +242,18 @@ def _reference_price(f):
     ones (the two-query family) cap the route minimum at n - 1 and 2. Up
     to arity 4 the witness is the first route whose cost equals the
     table's; above it a set cost keeps none, nor does a route that only
-    ties a cap."""
+    ties a cap. The memo holds each table as given and without its dead
+    variables."""
+    raw = (f.arity, f.bits)
+    if raw in _REFERENCE_PRICES:
+        return _REFERENCE_PRICES[raw]
     f, _ = f.drop_dead()
     n = f.arity
     if n == 0:
         return 0, None
     key = (n, f.bits)
     if key in _REFERENCE_PRICES:
+        _REFERENCE_PRICES[raw] = _REFERENCE_PRICES[key]
         return _REFERENCE_PRICES[key]
     info = synth._symmetric_axiom(f)
     if synth._parity_pattern(f) is not None:
@@ -259,7 +278,7 @@ def _reference_price(f):
             got = (cost, costs.index(cost) if cost in costs else None)
         else:
             got = (best, costs.index(best)) if best < cap else (cap, None)
-    _REFERENCE_PRICES[key] = got
+    _REFERENCE_PRICES[key] = _REFERENCE_PRICES[raw] = got
     return got
 
 
@@ -301,14 +320,29 @@ def _two_xor_levels(rnd, n):
     return TruthTable.from_values(vals)
 
 
+def _glued(rnd, n, parts):
+    """x_n ? hi : lo, lo and hi two of `parts` read on random variables of
+    n - 1, retried until every variable is live: their residuals repeat
+    and carry dead variables."""
+    while True:
+        lo, hi = (_with_dead(rnd, rnd.choice(parts), n - 1) for _ in (0, 1))
+        t = TruthTable(n, lo.bits | hi.bits << (1 << (n - 1)))
+        if len(t.support()) == n:
+            return t
+
+
 def test_route_search_matches_the_reference_loop():
     rnd = random.Random(12)
     tables = [TruthTable(n, rnd.getrandbits(1 << n))
               for n, count in ((5, 60), (6, 12), (7, 3))
               for _ in range(count)]
     nae = [_random_npn(rnd, n).apply(table_nae(n))
-           for n in (5, 6) for _ in range(4)]
+           for n in (5, 6, 7) for _ in range(4 if n < 7 else 2)]
     low = [_two_xor_levels(rnd, n) for n in (5, 6) for _ in range(6)]
+    parts = [table_parity(4), table_exact(4, 2), table_nae(4),
+             table_threshold(4, 2), TruthTable(4, rnd.getrandbits(16))]
+    tables += [_random_npn(rnd, 7).apply(table_exact(7, k)) for k in (1, 3)]
+    tables += [_glued(rnd, 7, parts) for _ in range(4)]
     for t in tables + nae + low:
         assert t.support() == tuple(range(1, t.arity + 1))
         best = t.arity - 1 if synth._nae_pattern(t) is not None else t.arity
@@ -359,8 +393,9 @@ def test_batched_pricer_matches_reference():
     rnd = random.Random(13)
     for m in (3, 4, 5, 6):
         tables, closed = _pricer_population(rnd, m)
-        rows = np.array([t.values() for t in tables])
-        got = synth._price_rows(rows, synth._codes(rows))
+        codes = np.array([t.bits for t in tables],
+                         dtype=synth._CODE_DTYPE[1 << m])
+        got = synth._price_rows(codes, m)
         want = [_reference_cost(t) for t in tables]
         assert got.tolist() == want, m
         for t, cost in zip(tables, want):
@@ -371,7 +406,8 @@ def test_batched_pricer_matches_reference():
         # taking the minimum, and the first cheapest route is the one a
         # search stopping at the closed form's count keeps
         is_closed = np.array([t.bits in closed for t in tables])
-        routes = synth._route_costs(rows).min(axis=-1)
+        routes = synth._route_costs(synth._residual_codes(codes, m),
+                                    m).min(axis=0)
         assert (routes[is_closed] >= got[is_closed]).all(), m
         # at arity 3 the two-query family adds every table with 2..6 ones
         family = {bits for bits in range(256) if 2 <= bits.bit_count() <= 6}
@@ -672,6 +708,30 @@ def test_certificate_exact73_verifies():
     c = synthesize(table_exact(7, 3))
     assert c.claimed_queries == 4 and c.level == "CountCertified"
     rep = verify_certificate(c)
+    assert rep.ok, rep.failures
+
+
+def test_symmetric_profiles_at_arity_eight():
+    # best mode, synthesize then verify, on all 512 profiles at n = 8: only
+    # the AND-isomorphic ones need n queries
+    counts = collections.Counter()
+    for prof in itertools.product((0, 1), repeat=9):
+        f = TruthTable.from_profile(prof)
+        cert = synthesize(f)
+        rep = verify_certificate(cert)
+        assert rep.ok, (prof, rep.failures)
+        assert (cert.claimed_queries == 8) == f.is_and_isomorphic(), prof
+        counts[cert.claimed_queries] += 1
+    assert dict(counts) == {0: 2, 4: 4, 5: 8, 6: 82, 7: 412, 8: 4}
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_random_table_certified_below_arity(n):
+    f = TruthTable(n, random.Random(1800 + n).getrandbits(1 << n))
+    assert len(f.support()) == n
+    cert = synthesize(f)
+    assert cert.claimed_queries == n - 1
+    rep = verify_certificate(cert)
     assert rep.ok, rep.failures
 
 
