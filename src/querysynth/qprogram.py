@@ -142,73 +142,111 @@ class AxiomLeaf:
         return len(self.variables)
 
 
+class _Shape:
+    """What one static pass over every node of a program finds, reached
+    or not: the worst-case query count, the largest variable, the axiom
+    leaves with their paths, the path of the first unitary block, whether
+    any node is quantum, and the message of each malformed node."""
+
+    def __init__(self):
+        self.queries = self.max_var = 0
+        self.leaves, self.errors = [], []
+        self.block, self.quantum = None, False
+
+    @property
+    def level(self) -> str:
+        if self.leaves:
+            return "CountCertified"
+        return "FullySimulated" if self.quantum else "ClassicalOnly"
+
+
+@functools.lru_cache(maxsize=1)
+def _shape(program, path: str = "program") -> _Shape:
+    """The fold of `program`, its root at `path`. Programs are immutable,
+    so the shape of the last program folded is kept: the static reads,
+    `simulate` and the certificate checker share one pass, and none of
+    them changes it."""
+    shape = _Shape()
+    shape.queries = _fold(program, path, shape)
+    return shape
+
+
+def _fold(node, path: str, shape: _Shape) -> int:
+    """Record `node` and everything below it in `shape`; return the
+    worst-case number of oracle calls from `node` on."""
+    errors = shape.errors
+    if isinstance(node, ClassicalQuery):
+        if node.var < 1:
+            errors.append("classical query at %s reads x%d; variables start "
+                          "at x1" % (path, node.var))
+        shape.max_var = max(shape.max_var, node.var)
+    elif isinstance(node, Output):
+        if node.bit not in (0, 1):
+            errors.append("output at %s must be 0 or 1" % path)
+        return 0
+    elif isinstance(node, XorQuery):
+        if node.i == node.j or node.i < 1 or node.j < 1:
+            errors.append("xor gadget at %s needs two distinct variables"
+                          % path)
+        shape.quantum = True
+        shape.max_var = max(shape.max_var, node.i, node.j)
+    elif isinstance(node, AxiomLeaf):
+        shape.leaves.append((path, node))
+        vs = node.variables
+        shape.max_var = max(shape.max_var, *vs, 0)
+        if not vs:
+            errors.append("axiom leaf at %s reads no variables" % path)
+        elif len(set(vs)) != len(vs):
+            errors.append("axiom leaf at %s repeats variables" % path)
+        elif min(vs) < 1:
+            errors.append("axiom leaf at %s reads x%d; variables start at x1"
+                          % (path, min(vs)))
+        return node.queries
+    elif isinstance(node, UnitaryBlock):
+        labels, children = node.labels, node.children
+        shape.quantum, shape.block = True, shape.block or path
+        shape.max_var = max(shape.max_var, 0,
+                            *(v for v in labels if v is not None))
+        dim, t = len(labels), len(node.matrices) - 1
+        if dim == 0:
+            errors.append("unitary block at %s has no basis states" % path)
+        elif any(v is not None and v < 1 for v in labels):
+            errors.append("unitary block at %s labels a variable below x1"
+                          % path)
+        elif len(children) != dim:
+            errors.append("dimension mismatch at %s: %d children for "
+                          "dimension %d" % (path, len(children), dim))
+        elif t < 0:
+            errors.append("unitary block at %s has no matrices" % path)
+        elif not all(m.dim == dim and m.is_unitary() for m in node.matrices):
+            errors.append("non-unitary block at %s" % path)
+        worst = 0
+        for s, child in enumerate(children):
+            worst = max(worst, _fold(child, "%s.m%d" % (path, s), shape))
+        return t + worst
+    else:
+        raise TypeError("not a program node: %r" % (node,))
+    q0 = _fold(node.child0, path + ".child0", shape)
+    q1 = _fold(node.child1, path + ".child1", shape)
+    return 1 + (q0 if q0 > q1 else q1)
+
+
 def query_cost(node) -> int:
     """Worst-case number of oracle calls along any path."""
-    if isinstance(node, Output):
-        return 0
-    if isinstance(node, (ClassicalQuery, XorQuery)):
-        return 1 + max(query_cost(node.child0), query_cost(node.child1))
-    if isinstance(node, UnitaryBlock):
-        t = len(node.matrices) - 1
-        return t + max(query_cost(ch) for ch in node.children)
-    if isinstance(node, AxiomLeaf):
-        return node.queries
-    raise TypeError("not a program node: %r" % (node,))
+    return _shape(node).queries
 
 
 def classify_level(node) -> str:
-    has_axiom = False
-    has_quantum = False
-
-    def walk(nd):
-        nonlocal has_axiom, has_quantum
-        if isinstance(nd, AxiomLeaf):
-            has_axiom = True
-        elif isinstance(nd, (XorQuery, UnitaryBlock)):
-            has_quantum = True
-            kids = ((nd.child0, nd.child1) if isinstance(nd, XorQuery)
-                    else nd.children)
-            for ch in kids:
-                walk(ch)
-        elif isinstance(nd, ClassicalQuery):
-            walk(nd.child0)
-            walk(nd.child1)
-
-    walk(node)
-    if has_axiom:
-        return "CountCertified"
-    if has_quantum:
-        return "FullySimulated"
-    return "ClassicalOnly"
+    return _shape(node).level
 
 
 def collect_axioms(node, path: str = "program"):
     """All (path, AxiomLeaf) pairs in the tree."""
-    out = []
-    if isinstance(node, AxiomLeaf):
-        out.append((path, node))
-    elif isinstance(node, (ClassicalQuery, XorQuery)):
-        out.extend(collect_axioms(node.child0, path + ".child0"))
-        out.extend(collect_axioms(node.child1, path + ".child1"))
-    elif isinstance(node, UnitaryBlock):
-        for s, ch in enumerate(node.children):
-            out.extend(collect_axioms(ch, "%s.m%d" % (path, s)))
-    return out
+    return list(_shape(node, path).leaves)
 
 
 def max_var(node) -> int:
-    if isinstance(node, Output):
-        return 0
-    if isinstance(node, ClassicalQuery):
-        return max(node.var, max_var(node.child0), max_var(node.child1))
-    if isinstance(node, XorQuery):
-        return max(node.i, node.j, max_var(node.child0), max_var(node.child1))
-    if isinstance(node, UnitaryBlock):
-        labeled = [v for v in node.labels if v is not None]
-        return max([*labeled, 0] + [max_var(ch) for ch in node.children])
-    if isinstance(node, AxiomLeaf):
-        return max(node.variables)
-    raise TypeError("not a program node: %r" % (node,))
+    return _shape(node).max_var
 
 
 # ---------------------------------------------------------------------------
@@ -317,51 +355,6 @@ class SimulationReport:
         }
 
 
-def _node_field_error(node, path: str):
-    """The message for a malformed field of an output, classical query or
-    xor gadget at `path`, else None."""
-    if isinstance(node, Output):
-        if node.bit not in (0, 1):
-            return "output at %s must be 0 or 1" % path
-    elif isinstance(node, ClassicalQuery):
-        if node.var < 1:
-            return ("classical query at %s reads x%d; variables start at x1"
-                    % (path, node.var))
-    elif isinstance(node, XorQuery):
-        if node.i == node.j or node.i < 1 or node.j < 1:
-            return "xor gadget at %s needs two distinct variables" % path
-
-
-def _validate_blocks(node, path: str):
-    if isinstance(node, AxiomLeaf):
-        raise ValueError("not simulatable: axiom leaf at %s" % path)
-    error = _node_field_error(node, path)
-    if error is not None:
-        raise ValueError(error)
-    if isinstance(node, (ClassicalQuery, XorQuery)):
-        _validate_blocks(node.child0, path + ".child0")
-        _validate_blocks(node.child1, path + ".child1")
-    elif isinstance(node, UnitaryBlock):
-        dim = len(node.labels)
-        if dim == 0:
-            raise ValueError("unitary block at %s has no basis states" % path)
-        if any(v is not None and v < 1 for v in node.labels):
-            raise ValueError("unitary block at %s labels a variable below "
-                             "x1" % path)
-        if len(node.children) != dim:
-            raise ValueError("dimension mismatch at %s: %d children for "
-                             "dimension %d" % (path, len(node.children), dim))
-        if len(node.matrices) < 1:
-            raise ValueError("unitary block at %s has no matrices" % path)
-        for mat in node.matrices:
-            if mat.dim != dim or any(len(r) != dim for r in mat.rows):
-                raise ValueError("dimension mismatch in matrix at %s" % path)
-            if not mat.is_unitary():
-                raise ValueError("non-unitary block at %s" % path)
-        for s, ch in enumerate(node.children):
-            _validate_blocks(ch, "%s.m%d" % (path, s))
-
-
 def _patterns(labels, inputs: int, masks):
     """Split the input set by the values of the labelled variables:
     (subset, m) pairs, m an input code with the subset's values there."""
@@ -379,48 +372,57 @@ def _patterns(labels, inputs: int, masks):
     return parts
 
 
-def _branches(node, inputs: int, masks):
-    """All measurement branches for the input set `inputs` (bit m set for
-    input code m): (inputs reaching the branch, amplitude magnitude,
-    output bit, queries used along the branch), in walk order. For any
-    one input, its branches keep the order and amplitudes of a walk of
-    that input alone."""
-    if isinstance(node, Output):
-        return [(inputs, 1.0, node.bit, 0)]
+def _branches(program, f: TruthTable) -> list:
+    """Every terminal branch of `program` over f's inputs, in walk order:
+    (inputs reaching it, amplitude magnitude, terminal node, its path,
+    queries used along it). An input set holds input code m as bit m;
+    outputs and axiom leaves are the terminals. For any one input, its
+    branches keep the order and amplitudes of a walk of that input
+    alone."""
+    out: list = []
+    _walk(program, (1 << f.size) - 1, 1.0, 0, "program",
+          _var_masks(f.arity), out)
+    return out
+
+
+def _walk(node, inputs: int, amp: float, queries: int, path: str, masks,
+          out: list) -> None:
     if isinstance(node, ClassicalQuery):
         hi = inputs & masks[node.var - 1]
-        out = []
-        for sub, child in ((inputs ^ hi, node.child0), (hi, node.child1)):
-            if sub:
-                out.extend((b, a, o, q + 1)
-                           for b, a, o, q in _branches(child, sub, masks))
-        return out
+        if inputs ^ hi:
+            _walk(node.child0, inputs ^ hi, amp, queries + 1,
+                  path + ".child0", masks, out)
+        if hi:
+            _walk(node.child1, hi, amp, queries + 1, path + ".child1", masks,
+                  out)
+        return
+    if isinstance(node, XorQuery):
+        differ = inputs & (masks[node.i - 1] ^ masks[node.j - 1])
+        parts = (inputs ^ differ, differ)
+        for s, by_xor in enumerate(_xor_magnitudes()):
+            for mag, d in by_xor:
+                if parts[d]:
+                    _walk((node.child0, node.child1)[s], parts[d], amp * mag,
+                          queries + 1, "%s.child%d" % (path, s), masks, out)
+        return
+    if not isinstance(node, UnitaryBlock):
+        out.append((inputs, amp, node, path, queries))
+        return
     # a block's state depends only on its labelled variables, so take the
     # outcome magnitudes once per pattern and send each outcome's inputs
     # on, grouped by the magnitude they reach it with
-    if isinstance(node, XorQuery):
-        gadget, i, j = _xor_magnitudes(), node.i - 1, node.j - 1
-        labels, children, t = (node.i, node.j), (node.child0, node.child1), 1
-
-        def magnitudes(m):
-            return gadget[(m >> i & 1) | (m >> j & 1) << 1]
-    else:
-        labels, children = node.labels, node.children
-        t = len(node.matrices) - 1
-        magnitudes = functools.partial(_magnitudes, node)
-    groups = [{} for _ in labels]  # outcome -> {magnitude: inputs}
-    for sub, m in _patterns(labels, inputs, masks):
-        for s, mag in enumerate(magnitudes(m)):
+    groups = [{} for _ in node.children]  # outcome -> {magnitude: inputs}
+    for sub, m in _patterns(node.labels, inputs, masks):
+        for s, mag in enumerate(_magnitudes(node, m)):
             # a zero magnitude is a branch taken with probability exactly
             # zero; skipping it cannot change the report
             if mag != 0.0:
                 groups[s][mag] = groups[s].get(mag, 0) | sub
-    out = []
+    t = len(node.matrices) - 1
     for s, by_mag in enumerate(groups):
         for mag, sub in by_mag.items():
-            out.extend((b, mag * a, o, q + t)
-                       for b, a, o, q in _branches(children[s], sub, masks))
-    return out
+            _walk(node.children[s], sub, amp * mag, queries + t,
+                  "%s.m%d" % (path, s), masks, out)
 
 
 def _magnitudes(block: UnitaryBlock, m: int) -> tuple:
@@ -435,25 +437,34 @@ def _magnitudes(block: UnitaryBlock, m: int) -> tuple:
 
 @functools.cache
 def _xor_magnitudes() -> tuple:
-    """The xor gadget's outcome magnitudes for (x_i, x_j) = (0, 0), (1, 0),
-    (0, 1), (1, 1): elaborate_xor's block, simulated once per process."""
+    """Per outcome of the xor gadget, its nonzero magnitudes as
+    (magnitude, x_i xor x_j) pairs: elaborate_xor's block, simulated once
+    per process. The patterns (1, 1) and (0, 1) differ from (0, 0) and
+    (1, 0) by a global sign, so the magnitudes depend on the xor alone."""
     block = elaborate_xor(XorQuery(1, 2, Output(0), Output(1)))
-    return tuple(_magnitudes(block, m) for m in range(4))
+    by_xor = [_magnitudes(block, m) for m in (0b00, 0b01)]
+    return tuple(tuple((mags[s], d) for d, mags in enumerate(by_xor)
+                       if mags[s] != 0.0) for s in range(2))
 
 
 def simulate(program, f: TruthTable) -> SimulationReport:
     """Run the program on every input of f; exact iff every measurement
     branch of weight above EPSILON yields f(x)."""
-    mv = max_var(program)
-    if mv > f.arity:
-        raise ValueError("unbound variable x%d for arity %d" % (mv, f.arity))
-    _validate_blocks(program, "program")
+    shape = _shape(program)
+    if shape.max_var > f.arity:
+        raise ValueError("unbound variable x%d for arity %d"
+                         % (shape.max_var, f.arity))
+    if shape.errors:
+        raise ValueError(shape.errors[0])
+    if shape.leaves:
+        raise ValueError("not simulatable: axiom leaf at %s"
+                         % shape.leaves[0][0])
     everything = (1 << f.size) - 1
-    branches = _branches(program, everything, _var_masks(f.arity))
+    branches = _branches(program, f)
     worst_wrong = 0.0
     worst_queries = 0
-    for inputs, amp, o, q in branches:
-        wrong = inputs & (everything ^ f.bits if o else f.bits)
+    for inputs, amp, node, _, q in branches:
+        wrong = inputs & (everything ^ f.bits if node.bit else f.bits)
         if wrong and amp > worst_wrong:
             worst_wrong = amp
         if amp > EPSILON and q > worst_queries:
@@ -461,10 +472,10 @@ def simulate(program, f: TruthTable) -> SimulationReport:
     # each input's outcome is its first branch of largest amplitude in walk
     # order: a stable sort keeps walk order among equal amplitudes
     decided = ones = 0
-    for inputs, amp, o, q in sorted(branches, key=lambda br: -br[1]):
+    for inputs, amp, node, _, q in sorted(branches, key=lambda br: -br[1]):
         new = inputs & ~decided
         decided |= new
-        if o:
+        if node.bit:
             ones |= new
     return SimulationReport(worst_wrong <= EPSILON, worst_wrong,
                             worst_queries, ones, f.size)

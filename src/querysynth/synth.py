@@ -31,14 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfun import (NpnTransform, TruthTable, _flip_images, _restrict_bits,
-                      _var_masks, table_nae, table_parity)
+                      table_nae, table_parity)
 from .formula import _split, _unate
 from .qprogram import (AxiomLeaf, ClassicalQuery, Output, XorQuery,
-                       axiom_citation, axiom_queries,
-                       axiom_rep_table, classify_level, collect_axioms,
-                       _json_int, _node_field_error, max_var, nae_program,
-                       parity_program, program_from_json, program_to_json,
-                       query_cost, simulate, CITE_AND_OR, CITE_THREE_BIT)
+                       axiom_citation, axiom_queries, axiom_rep_table,
+                       collect_axioms, _branches, _json_int, _shape,
+                       nae_program, parity_program, program_from_json,
+                       program_to_json, query_cost, simulate, CITE_AND_OR,
+                       CITE_THREE_BIT)
 
 __all__ = [
     "ENGINE_ARRAY_MAX",
@@ -643,11 +643,12 @@ def synthesize(f: TruthTable) -> Certificate:
     t, _ = f.drop_dead()
     price = _price(t)
     tree = _build(f, tuple(range(1, f.arity + 1)), rules, price=price)
-    claimed = query_cost(tree)
+    shape = _shape(tree)
+    claimed = shape.queries
     if claimed != price[0]:
         raise RuntimeError("internal: built %d-query program, engine "
                            "promised %d" % (claimed, price[0]))
-    return Certificate(f, tree, claimed, classify_level(tree), tuple(rules),
+    return Certificate(f, tree, claimed, shape.level, tuple(rules),
                        _meets_lower_bound(t, claimed))
 
 
@@ -670,50 +671,12 @@ class VerificationReport:
         return out
 
 
-def _audit(node, inputs: int, f: TruthTable, path: str, failures: list):
-    """Walk the program over input sets, as the simulator does: `inputs`
-    holds the codes reaching `node` (never empty), and each query splits
-    it. Outputs must agree with f on their whole set."""
-    masks = _var_masks(f.arity)
-    error = _node_field_error(node, path)
-    if error is not None:
-        failures.append(error)
-        return
-    if isinstance(node, Output):
-        if inputs & (~f.bits if node.bit else f.bits):
-            failures.append("output %d at %s disagrees with the function"
-                            % (node.bit, path))
-        return
-    if isinstance(node, ClassicalQuery):
-        mask = masks[node.var - 1]
-    elif isinstance(node, XorQuery):
-        mask = masks[node.i - 1] ^ masks[node.j - 1]
-    elif isinstance(node, AxiomLeaf):
-        return _audit_leaf(node, inputs, f, path, failures)
-    else:  # query_cost has already rejected anything but a unitary block
-        failures.append("not auditable: unitary block at %s inside a "
-                        "count-certified program" % path)
-        return
-    hi = inputs & mask
-    for b, sub, child in ((0, inputs ^ hi, node.child0),
-                          (1, hi, node.child1)):
-        if sub:
-            _audit(child, sub, f, "%s.child%d" % (path, b), failures)
-
-
 def _audit_leaf(node: AxiomLeaf, inputs: int, f: TruthTable, path: str,
                 failures: list):
     """Project f's ones and zeros on `inputs` onto the leaf's variables:
     they must be disjoint and cover every pattern, and the ones are the
     residual the leaf computes."""
     leaf_vars = set(node.variables)
-    if len(leaf_vars) != len(node.variables):
-        failures.append("axiom leaf at %s repeats variables" % path)
-        return
-    if min(leaf_vars) < 1:
-        failures.append("axiom leaf at %s reads x%d; variables start at x1"
-                        % (path, min(leaf_vars)))
-        return
     parts, m = (inputs & f.bits, inputs & ~f.bits), f.arity
     for v in range(f.arity, 0, -1):  # highest first: x_v is at bit v - 1
         if v not in leaf_vars:  # fold x_v = 1 onto x_v = 0, then drop x_v
@@ -784,24 +747,30 @@ def _in_class_orbit(g: TruthTable, class_id: str, n: int, k) -> bool:
 
 
 def verify_certificate(cert: Certificate) -> VerificationReport:
-    """Independent check of a certificate; never trusts the synthesizer."""
-    failures: list = []
+    """Independent check of a certificate; never trusts the synthesizer.
+    One static fold checks every node, reached or not; one walk over
+    input sets then simulates the program or audits its outputs and
+    leaves."""
     prog, f = cert.program, cert.function
     try:
-        static = query_cost(prog)
-        if static != cert.claimed_queries:
-            failures.append("program worst case is %d queries, certificate "
-                            "claims %d" % (static, cert.claimed_queries))
-        if max_var(prog) > f.arity:
-            failures.append("program reads variables beyond arity %d"
-                            % f.arity)
-        level = classify_level(prog)
+        shape = _shape(prog)
     except (TypeError, ValueError, RuntimeError) as e:
         return VerificationReport(False, cert.level, ("malformed program: %s"
                                                       % e,))
+    failures = list(shape.errors)
+    if shape.queries != cert.claimed_queries:
+        failures.append("program worst case is %d queries, certificate "
+                        "claims %d" % (shape.queries, cert.claimed_queries))
+    if shape.max_var > f.arity:
+        failures.append("unbound variable x%d for arity %d"
+                        % (shape.max_var, f.arity))
+    level = shape.level
     if level != cert.level:
         failures.append("program is %s, certificate says %s"
                         % (level, cert.level))
+    if level == "CountCertified" and shape.block is not None:
+        failures.append("not auditable: unitary block at %s inside a "
+                        "count-certified program" % shape.block)
     if cert.optimal:
         try:
             lb = _known_lower_bound(f)
@@ -812,26 +781,26 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
                 failures.append("certificate claims optimality, but %d "
                                 "queries exceed the known lower bound %d"
                                 % (cert.claimed_queries, lb))
-    sim = None
     if failures:
         return VerificationReport(False, level, tuple(failures))
-    if level == "CountCertified":
-        _audit(prog, (1 << f.size) - 1, f, "program", failures)
-    else:
-        try:
-            sim = simulate(prog, f)
-        except ValueError as e:
-            failures.append("simulation rejected the program: %s" % e)
-        else:
-            if not sim.exact:
-                failures.append("wrong-answer amplitude %.3g exceeds "
-                                "tolerance" % sim.worst_wrong_amplitude)
-            if sim.queries_worst_case != cert.claimed_queries:
-                failures.append("simulated worst case used %d queries, "
-                                "certificate claims %d"
-                                % (sim.queries_worst_case,
-                                   cert.claimed_queries))
-    return VerificationReport(not failures, level, tuple(failures), sim)
+    if level != "CountCertified":
+        sim = simulate(prog, f)
+        if not sim.exact:
+            failures.append("wrong-answer amplitude %.3g exceeds tolerance"
+                            % sim.worst_wrong_amplitude)
+        if sim.queries_worst_case != cert.claimed_queries:
+            failures.append("simulated worst case used %d queries, "
+                            "certificate claims %d"
+                            % (sim.queries_worst_case, cert.claimed_queries))
+        return VerificationReport(not failures, level, tuple(failures), sim)
+    # the audit: each output agrees with f on every input reaching it
+    for inputs, _, node, path, _ in _branches(prog, f):
+        if isinstance(node, AxiomLeaf):
+            _audit_leaf(node, inputs, f, path, failures)
+        elif inputs & (~f.bits if node.bit else f.bits):
+            failures.append("output %d at %s disagrees with the function"
+                            % (node.bit, path))
+    return VerificationReport(not failures, level, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -567,7 +567,8 @@ def test_simulate_deeply_nested_certificate(tmp_path, capsys):
 
 
 def test_simulate_deeply_nested_blocks(tmp_path, capsys):
-    # shallow enough for the JSON reader, too deep for the program walks
+    # json.loads nests twice per block (the object and its children), the
+    # fold and the input-set walk once each: what the reader admits runs
     block = ('{"kind": "ub", "labels": [null], "matrices": '
              '[{"normExp": 0, "rows": [[[1, 0]]]}], "children": [')
     depth = 450
@@ -575,9 +576,8 @@ def test_simulate_deeply_nested_blocks(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text(program)
     rc, out, err = run_cli(capsys, "simulate", str(path), "--fn", "bin:00")
-    assert rc == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "nested too deeply" in err
+    assert rc == 0 and err == ""
+    assert out.startswith("exact:                yes\n")
 
 
 def test_simulate_unreadable_or_garbage_files(tmp_path, capsys):

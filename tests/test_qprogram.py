@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from querysynth.boolfun import TruthTable, table_and, table_nae, table_parity
+from querysynth.boolfun import (TruthTable, table_and, table_exact, table_nae,
+                               table_parity)
 from querysynth.qprogram import (
     CITE_AND_OR,
     CITE_AND_OR_3,
@@ -35,7 +36,8 @@ from querysynth.qprogram import (
     xor_gadget,
 )
 from querysynth.synth import (Certificate, certificate_from_json,
-                              synthesize, verify_certificate)
+                              certificate_to_json, synthesize,
+                              verify_certificate)
 
 H = Matrix(((1, 1), (1, -1)), 1)
 
@@ -432,6 +434,14 @@ def test_simulate_tie_goes_to_first_branch_in_walk_order():
 # the xor gadget's cached magnitudes against its elaborated block
 
 
+def _kids(node):
+    if isinstance(node, UnitaryBlock):
+        return node.children
+    if isinstance(node, (ClassicalQuery, XorQuery)):
+        return (node.child0, node.child1)
+    return ()
+
+
 def _elaborated(node, memo):
     """`node` with every xor gadget replaced by elaborate_xor's block;
     shared subtrees stay shared."""
@@ -472,10 +482,7 @@ def _assert_xor_path_matches_elaborated(prog, f, rng):
 
 def _nodes(node):
     yield node
-    kids = (node.children if isinstance(node, UnitaryBlock) else
-            (node.child0, node.child1)
-            if isinstance(node, (ClassicalQuery, XorQuery)) else ())
-    for ch in kids:
+    for ch in _kids(node):
         yield from _nodes(ch)
 
 
@@ -593,6 +600,177 @@ def test_simulate_rejects_out_of_range_variables():
     for prog in bad:
         with pytest.raises(ValueError):
             simulate(prog, f)
+
+
+# ---------------------------------------------------------------------------
+# the static fold against per-question reference walks
+
+
+def _reference_query_cost(node):
+    if isinstance(node, Output):
+        return 0
+    if isinstance(node, (ClassicalQuery, XorQuery)):
+        return 1 + max(_reference_query_cost(node.child0),
+                       _reference_query_cost(node.child1))
+    if isinstance(node, UnitaryBlock):
+        t = len(node.matrices) - 1
+        return t + max(_reference_query_cost(ch) for ch in node.children)
+    return node.queries
+
+
+def _reference_max_var(node):
+    if isinstance(node, Output):
+        return 0
+    if isinstance(node, ClassicalQuery):
+        return max(node.var, _reference_max_var(node.child0),
+                   _reference_max_var(node.child1))
+    if isinstance(node, XorQuery):
+        return max(node.i, node.j, _reference_max_var(node.child0),
+                   _reference_max_var(node.child1))
+    if isinstance(node, UnitaryBlock):
+        labeled = [v for v in node.labels if v is not None]
+        return max([*labeled, 0]
+                   + [_reference_max_var(ch) for ch in node.children])
+    return max(node.variables)
+
+
+def _reference_level(node):
+    kinds = {type(nd) for nd in _nodes(node)}
+    if AxiomLeaf in kinds:
+        return "CountCertified"
+    if kinds & {XorQuery, UnitaryBlock}:
+        return "FullySimulated"
+    return "ClassicalOnly"
+
+
+def _reference_validate(node):
+    """Raise ValueError on the first node, reached or not, that the
+    simulator cannot run."""
+    if isinstance(node, AxiomLeaf):
+        raise ValueError("axiom leaf")
+    if isinstance(node, Output) and node.bit not in (0, 1):
+        raise ValueError("output bit")
+    if isinstance(node, ClassicalQuery) and node.var < 1:
+        raise ValueError("query variable")
+    if isinstance(node, XorQuery) and (node.i == node.j or node.i < 1
+                                       or node.j < 1):
+        raise ValueError("xor variables")
+    if isinstance(node, UnitaryBlock):
+        dim = len(node.labels)
+        if (dim == 0 or any(v is not None and v < 1 for v in node.labels)
+                or len(node.children) != dim or not node.matrices):
+            raise ValueError("block shape")
+        for mat in node.matrices:
+            if (mat.dim != dim or any(len(r) != dim for r in mat.rows)
+                    or not mat.is_unitary()):
+                raise ValueError("block matrix")
+    for ch in _kids(node):
+        _reference_validate(ch)
+
+
+def _reference_rejects(prog, f):
+    try:
+        if _reference_max_var(prog) > f.arity:
+            return True
+        _reference_validate(prog)
+    except ValueError:
+        return True
+    return False
+
+
+def _malformed_programs():
+    leaf = AxiomLeaf("and", (1, 2), 2, CITE_AND_OR)
+    return [ClassicalQuery(3, Output(1), ClassicalQuery(0, Output(0), leaf)),
+            XorQuery(1, 2, Output(0), XorQuery(2, 2, Output(1), Output(0))),
+            ClassicalQuery(1, Output(0), Output(5)),
+            UnitaryBlock((1, 2), (Matrix(((2, 0), (0, 2))), H),
+                         (Output(0), Output(1))),
+            UnitaryBlock((1, 2), (H, H), (Output(0),)),
+            UnitaryBlock((1, 0), (H,), (Output(0), Output(1))),
+            UnitaryBlock((), (Matrix(()),), ()),
+            UnitaryBlock((1, 2), (), (Output(0), Output(1))),
+            ClassicalQuery(2, elaborate_xor(_parity2_tree()), leaf)]
+
+
+def _fold_population():
+    """(program, arity) pairs: builders, synthesized certificates and
+    mutants of their count-certified programs, hand-built and malformed
+    blocks."""
+    from test_synth import _mutants
+    rng = random.Random(19)
+    for n in range(1, 13):
+        yield parity_program(n), n
+        yield _and_chain(n), n
+        if n >= 2:
+            yield nae_program(n, anchor=rng.randrange(1 << n)), n
+    for n in range(3, 8):
+        for _ in range(4 if n < 7 else 2):
+            cert = synthesize(TruthTable(n, rng.getrandbits(1 << n)))
+            yield cert.program, n
+            if cert.level == "CountCertified":
+                for mutant in _mutants(cert.program, n, rng):
+                    yield mutant, n
+    for prog in _hand_built_blocks() + _malformed_programs():
+        yield prog, 3
+
+
+def test_fold_matches_reference_walks():
+    rejected = accepted = 0
+    for prog, n in _fold_population():
+        try:
+            want = (_reference_query_cost(prog), _reference_max_var(prog),
+                    _reference_level(prog))
+        except ValueError:  # the reference walks fail on an empty block
+            want = None
+        if want is not None:
+            assert (query_cost(prog), max_var(prog),
+                    classify_level(prog)) == want
+        for f in (TruthTable(n, 0), TruthTable(n - 1, 0)):
+            want = _reference_rejects(prog, f)
+            try:
+                simulate(prog, f)
+            except ValueError:
+                assert want, program_to_json(prog)
+                rejected += 1
+            else:
+                assert not want, program_to_json(prog)
+                accepted += 1
+    assert rejected > 50 and accepted > 50, (rejected, accepted)
+
+
+def test_checker_folds_once_and_walks_once(monkeypatch):
+    from querysynth import qprogram, synth
+    folds, walks = [], []
+    fold, branches = qprogram._fold, qprogram._branches
+
+    def counted_fold(node, path, shape):
+        if path == "program":
+            folds.append(node)
+        return fold(node, path, shape)
+
+    def counted_branches(program, f):
+        walks.append(program)
+        return branches(program, f)
+
+    monkeypatch.setattr(qprogram, "_fold", counted_fold)
+    for module in (qprogram, synth):
+        monkeypatch.setattr(module, "_branches", counted_branches)
+    rnd = random.Random(20141419)
+    tables = [TruthTable(n, rnd.getrandbits(1 << n)) for n in (4, 5, 5, 6)]
+    tables += [table_and(3), table_parity(5), table_exact(5, 2)]
+    levels = set()
+    for f in tables:
+        folds.clear()
+        walks.clear()
+        cert = synthesize(f)
+        assert folds.count(cert.program) == 1 and not walks, f
+        levels.add(cert.level)
+        # a loaded certificate is a new tree: nothing is folded yet
+        loaded = certificate_from_json(certificate_to_json(cert))
+        folds.clear()
+        assert verify_certificate(loaded).ok
+        assert folds == [loaded.program] and walks == [loaded.program], f
+    assert levels == {"ClassicalOnly", "FullySimulated", "CountCertified"}
 
 
 # ---------------------------------------------------------------------------

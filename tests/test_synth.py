@@ -28,8 +28,9 @@ from querysynth.boolfun import (
     table_threshold,
 )
 from querysynth import synth
-from querysynth.qprogram import (AxiomLeaf, ClassicalQuery, Output, XorQuery,
-                                 axiom_citation, axiom_queries,
+from querysynth.qprogram import (AxiomLeaf, ClassicalQuery, Matrix, Output,
+                                 UnitaryBlock, XorQuery, axiom_citation,
+                                 axiom_queries,
                                  axiom_rep_table, classify_level,
                                  collect_axioms, nae_program, program_to_json,
                                  query_cost)
@@ -876,6 +877,23 @@ def test_audit_rejects_malformed_nodes_like_the_simulator():
         rep = check(prog)
         assert not rep.ok
         assert [x for x in rep.failures if message in x], rep.failures
+    # no input reaches x4 = 1 under x4 = 0, yet every node is checked
+    non_unitary = UnitaryBlock((1, 2), (Matrix(((2, 0), (0, 2))),),
+                               (Output(0), Output(1)))
+    for unreached, message in (
+            (Output(7), "must be 0 or 1"),
+            (ClassicalQuery(0, Output(0), Output(1)),
+             "variables start at x1"),
+            (non_unitary, "non-unitary block")):
+        prog = ClassicalQuery(4, ClassicalQuery(4, Output(1), unreached), leaf)
+        rep = check(prog)
+        assert not rep.ok
+        assert [x for x in rep.failures if message in x], rep.failures
+    doc = certificate_to_json(Certificate(f, prog, query_cost(prog),
+                                          "CountCertified", (), False))
+    rep = verify_certificate(certificate_from_json(doc))
+    assert not rep.ok
+    assert [x for x in rep.failures if "non-unitary block" in x], rep.failures
 
 
 # ---------------------------------------------------------------------------
